@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
-from .pareto import FrontSet, Orientation, inner_efficient, nondominated
+from .pareto import FrontSet, Orientation, _vec_eq, inner_efficient, nondominated
 from .relations import SetRelSpec, VecRel, set_cmp, vec_cmp
 
 
@@ -139,13 +139,9 @@ def smaro_set(inst: Instance, tol: Tolerance = DEFAULT_TOL) -> SmaroResult:
         mid[x] = nondominated(union, Orientation.MAX, tol)
         pool.extend(mid[x].points)
     outer = nondominated(set(pool), Orientation.MIN, tol)
-
-    def _eq(a, b):
-        return all(tol.eq(a[i], b[i]) for i in range(len(a)))
-
     survivors = tuple(
         x for x in inst.decisions
-        if any(_eq(p, q) for p in mid[x].points for q in outer.points)
+        if any(_vec_eq(p, q, tol) for p in mid[x].points for q in outer.points)
     )
     return SmaroResult(survivors, outer)
 

@@ -109,14 +109,13 @@ class Instance:
 
     def points(self, x: str, u: str) -> tuple[Vec, ...]:
         """Recourse image for a pair, with identifier checking."""
-        if x not in self.recourse and all(k[0] != x for k in self.recourse):
-            raise InstanceError(f"unknown decision {x!r}")
         try:
             return self.recourse[(x, u)]
         except KeyError:
-            if u not in self.scenarios:
-                raise InstanceError(f"unknown scenario {u!r}") from None
-            raise InstanceError(f"unknown decision {x!r}") from None
+            pass
+        if x not in self.decisions:
+            raise InstanceError(f"unknown decision {x!r}")
+        raise InstanceError(f"unknown scenario {u!r}")
 
 
 def make_instance(

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .instances import DEFAULT_TOL, Instance, Tolerance, Vec
 from .relations import VecRel, vec_cmp
@@ -37,12 +39,67 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     """Keep exactly the members no other member dominates; collapse duplicates.
 
     Domination is the componentwise <=-and-not-equal relation (reversed for
-    MAX).  Reference O(|S|^2) pairwise filter; duplicates under tolerance
-    equality keep one representative (the lexicographically smallest).
+    MAX).  Duplicates under tolerance equality keep one representative (the
+    lexicographically smallest).
+
+    After the lexicographic sort, q can dominate p under MIN only if
+    ``q[0] - p[0] <= tau``.  Rounding is monotone, so that float expression
+    never decreases along the sorted first coordinates: the candidates form a
+    prefix, and its end only moves forward as p[0] grows.  The bound is
+    tested with the very expression the scan then checks, so it drops no
+    candidate the check would accept.  Under MAX the test is
+    ``p[0] - q[0] <= tau`` and the candidates form a suffix whose start
+    likewise only moves forward.  The scan
+    inlines the finite comparisons of :class:`Tolerance`; input with a
+    non-finite coordinate (or none at all) takes the unpruned pairwise filter.
     """
     pts = sorted(tuple(p) for p in points)
     if not pts:
         raise ValueError("nondominated() requires a non-empty point set")
+    n = len(pts[0])
+    for p in pts:
+        if len(p) != n:
+            raise ValueError(f"length mismatch: {n} vs {len(p)}")
+    if n == 0 or not all(map(math.isfinite, chain.from_iterable(pts))):
+        return _pairwise_front(pts, orientation, tol)
+    tau = tol.tau
+    is_min = orientation is Orientation.MIN
+    m = len(pts)
+    # candidates for the current p are pts[lo:hi]
+    lo, hi = 0, (0 if is_min else m)
+    keep: list[Vec] = []
+    for p in pts:
+        p0 = p[0]
+        if is_min:
+            while hi < m and pts[hi][0] - p0 <= tau:
+                hi += 1
+        else:
+            while p0 - pts[lo][0] > tau:
+                lo += 1
+        for j in range(lo, hi):
+            q = pts[j]
+            # does q dominate p?  d = q_i - p_i (MIN) or p_i - q_i (MAX)
+            strict = False
+            for a, b in (zip(q, p) if is_min else zip(p, q)):
+                d = a - b
+                if d > tau:
+                    break
+                if abs(d) > tau:
+                    strict = True
+            else:
+                if strict:
+                    break
+        else:
+            for k in keep:
+                if all(abs(a - b) <= tau for a, b in zip(p, k)):
+                    break
+            else:
+                keep.append(p)
+    return FrontSet(tuple(keep), orientation)
+
+
+def _pairwise_front(pts: list[Vec], orientation: Orientation, tol: Tolerance) -> FrontSet:
+    """The unpruned O(|S|^2) filter over sorted points, exact on infinities."""
     keep: list[Vec] = []
     for p in pts:
         if orientation is Orientation.MIN:

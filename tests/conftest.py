@@ -19,6 +19,19 @@ def point_sets(n=2, max_size=6):
     )
 
 
+def near_tie_sets(n, tau, max_size=6):
+    """Point sets on a small integer grid, shifted by offsets at the slack
+    boundary (+-tau/2, +-tau, +-2**-30).  The grid is optionally scaled by
+    1e12, where offsets below the spacing of floats round away.  Duplicates
+    are kept."""
+    offsets = (0.0, tau / 2, -tau / 2, tau, -tau, 2.0**-30, -(2.0**-30))
+    coord = st.tuples(st.integers(0, 3), st.sampled_from(offsets))
+    vecs = st.lists(st.tuples(*[coord] * n), min_size=1, max_size=max_size)
+    return st.tuples(vecs, st.sampled_from((1.0, 1e12))).map(
+        lambda t: [tuple(g * t[1] + off for g, off in p) for p in t[0]]
+    )
+
+
 def weights(n=2):
     # strictly positive integer masses, normalized
     return st.tuples(*[st.integers(1, 5) for _ in range(n)]).map(

@@ -115,3 +115,42 @@ def brute_set_leq(A, B, family, strict, lam=None):
         mb = min(dot(lam, b) for b in B)
         return ma < mb if strict else ma <= mb
     raise ValueError(family)
+
+
+def _tol_leq(a, b, tau):
+    if math.isinf(a) or math.isinf(b):
+        return a <= b
+    return a - b <= tau
+
+
+def _tol_eq(a, b, tau):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= tau
+
+
+def tol_front(points, orientation, tau):
+    """Pairwise front under slack ``tau``; ``orientation`` is "min" or "max".
+
+    q dominates p (MIN) when q_i <= p_i within tau for every i and q, p are
+    not equal within tau; infinite operands compare exactly.  Points are
+    scanned in lexicographic order, and a point equal within tau to an
+    earlier survivor is dropped as its duplicate.
+    """
+    pts = sorted(tuple(p) for p in points)
+    keep = []
+    for p in pts:
+        dominated = False
+        for q in pts:
+            lo, hi = (q, p) if orientation == "min" else (p, q)
+            below = all(_tol_leq(lo[i], hi[i], tau) for i in range(len(p)))
+            equal = all(_tol_eq(lo[i], hi[i], tau) for i in range(len(p)))
+            if below and not equal:
+                dominated = True
+                break
+        if dominated:
+            continue
+        if any(all(_tol_eq(p[i], k[i], tau) for i in range(len(p))) for k in keep):
+            continue
+        keep.append(p)
+    return keep

@@ -6,6 +6,7 @@ on integer-coordinate fixtures are exact; sampled-front checks are
 qualitative by construction.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -47,6 +48,11 @@ from maro.cli import main
 from oracles import brute_f_eps_j, brute_f_lambda, brute_f_pb
 
 LOWER = SetRelSpec(SetRelFamily.LOWER)
+
+# SHA-256 of the stdout of ``maro verify --seed 42 --count 500`` (plain and with
+# ``--jitter 0.25``).  A change that alters the report on purpose updates these.
+VERIFY_SEED42_SHA256 = "08132da9cdce364db169f0bf3eea4032086a9245956085bd0e6735029bd801a2"
+VERIFY_SEED42_JITTER_SHA256 = "7c355c0a861aee637d5645b74f1ed7ec912c2a29e4b620dd220475f9a523230a"
 
 
 def report(num: int, desc: str, ok: bool):
@@ -221,6 +227,12 @@ def test_c10_cli_verify_byte_determinism(capsys):
     out1 = capsys.readouterr().out
     code2 = main(["verify", "--seed", "42", "--count", "500"])
     out2 = capsys.readouterr().out
+    code3 = main(["verify", "--seed", "42", "--count", "500", "--jitter", "0.25"])
+    out3 = capsys.readouterr().out
     report(10, "verify --seed 42 --count 500 exits 0 twice", code1 == code2 == 0)
     report(10, "two runs produce byte-identical reports",
            out1 == out2 and len(out1) > 0)
+    report(10, "report bytes match the pinned digest",
+           hashlib.sha256(out1.encode()).hexdigest() == VERIFY_SEED42_SHA256)
+    report(10, "--jitter 0.25 report bytes match the pinned digest",
+           code3 == 0 and hashlib.sha256(out3.encode()).hexdigest() == VERIFY_SEED42_JITTER_SHA256)

@@ -83,10 +83,13 @@ def test_non_finite_entry_rejected():
 
 def test_unknown_identifier_lookup():
     inst = fixture("FIG2L")
-    with pytest.raises(InstanceError, match="unknown decision"):
-        inst.points("x9", "u1")
-    with pytest.raises(InstanceError, match="unknown scenario"):
-        inst.points("x1", "u9")
+    # an unknown decision wins over an unknown scenario
+    for x, u, message in (("x9", "u1", "unknown decision 'x9'"),
+                          ("x1", "u9", "unknown scenario 'u9'"),
+                          ("x9", "u9", "unknown decision 'x9'")):
+        with pytest.raises(InstanceError) as err:
+            inst.points(x, u)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -1,5 +1,8 @@
 """Nondominance filtering, inner fronts, and ideal points."""
 
+import math
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -14,8 +17,10 @@ from maro import (
 )
 from maro.relations import dot
 
-from conftest import point_sets, weights
-from oracles import brute_max_front, brute_min_front
+from conftest import near_tie_sets, point_sets, weights
+from oracles import brute_max_front, brute_min_front, tol_front
+
+INF = math.inf
 
 
 def pts(front):
@@ -90,3 +95,41 @@ def test_matches_bruteforce(S):
     tol0 = Tolerance(0.0)
     assert list(nondominated(S, Orientation.MIN, tol0).points) == brute_min_front(S)
     assert list(nondominated(S, Orientation.MAX, tol0).points) == brute_max_front(S)
+
+
+def test_mixed_lengths_rejected():
+    for orientation in Orientation:
+        with pytest.raises(ValueError, match="length mismatch"):
+            nondominated([(1.0, 2.0), (0.0, 1.0, 2.0)], orientation)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
+def test_infinite_coordinates(tau):
+    S = [(INF, 0.0), (0.0, INF), (1.0, 1.0), (-INF, 5.0), (-INF, 5.0), (2.0, -INF)]
+    tol = Tolerance(tau)
+    lo = nondominated(S, Orientation.MIN, tol).points
+    hi = nondominated(S, Orientation.MAX, tol).points
+    assert lo == ((-INF, 5.0), (1.0, 1.0), (2.0, -INF))
+    assert hi == ((0.0, INF), (1.0, 1.0), (INF, 0.0))
+    assert list(lo) == tol_front(S, "min", tau)
+    assert list(hi) == tol_front(S, "max", tau)
+
+
+def test_candidate_bound_uses_the_checked_difference():
+    # q[0] - p[0] rounds to exactly tau, so q dominates p under MIN (and p
+    # dominates q under MAX), although q[0] > p[0] + tau once that rounds.
+    p, q = (2.0**-54, 5.0), (0.5 + 2.0**-53, 3.0)
+    tol = Tolerance(0.5)
+    assert q[0] - p[0] == 0.5 and q[0] > p[0] + 0.5
+    assert nondominated([p, q], Orientation.MIN, tol).points == (q,)
+    assert nondominated([p, q], Orientation.MAX, tol).points == (p,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
+@given(data=st.data())
+def test_matches_tolerance_oracle_on_near_ties(tau, n, data):
+    S = data.draw(near_tie_sets(n, tau))
+    tol = Tolerance(tau)
+    assert list(nondominated(S, Orientation.MIN, tol).points) == tol_front(S, "min", tau)
+    assert list(nondominated(S, Orientation.MAX, tol).points) == tol_front(S, "max", tau)
