@@ -22,6 +22,7 @@ from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec
 from .relations import Weight, dot
 from .scalarize import (
     GenBound,
+    _front,
     eps_efficient_set,
     f_eps_j,
     f_pb,
@@ -79,12 +80,16 @@ class BoundGrid:
 def image_ws(inst: Instance, lam: Weight, tol: Tolerance = DEFAULT_TOL) -> tuple[Vec, ...]:
     """Outcome vectors realized by plainly weighted-sum efficient decisions
     at scenarios attaining their worst case and points attaining the inner
-    minimum (both up to tolerance equality)."""
+    minimum (both up to tolerance equality).
+
+    The minimum reads the exact front; the enumeration scans every point,
+    because a dominated point whose weighted sum ties the minimum belongs
+    to the image too."""
     sel = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
     out: set[Vec] = set()
     for x, g in sel.entries:
         per_u = {
-            u: min(dot(lam.values, p) for p in inst.points(x, u))
+            u: min(dot(lam.values, p) for p in _front(inst, x, u))
             for u in inst.scenarios
         }
         for u, m in per_u.items():
@@ -186,7 +191,7 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
         pts: set[Vec] = set()
         for x, g in sel.entries:
             for u in inst.scenarios:
-                m = min(dot(w.values, p) for p in inst.points(x, u))
+                m = min(dot(w.values, p) for p in _front(inst, x, u))
                 if m < g.value - tie:
                     continue
                 for p in inst.points(x, u):

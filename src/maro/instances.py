@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 Vec = tuple[float, ...]
 
@@ -60,20 +62,22 @@ class Instance:
     """A validated finite problem instance.
 
     ``recourse`` maps every ``(decision, scenario)`` pair to a non-empty
-    tuple of objective vectors of length ``n``.  Instances are immutable
-    after construction; ``_cache`` only memoizes derived fronts and is
-    excluded from equality.
+    tuple of objective vectors of length ``n``; it is stored as a read-only
+    copy, with every ``-0.0`` coordinate read as ``0.0``.  Instances are
+    immutable after construction; ``_cache`` only memoizes derived fronts
+    and is excluded from equality.
     """
 
     name: str
     n: int
     decisions: tuple[str, ...]
     scenarios: tuple[str, ...]
-    recourse: dict[tuple[str, str], tuple[Vec, ...]]
+    recourse: Mapping[tuple[str, str], tuple[Vec, ...]]
     sampled: bool = False
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        recourse = dict(self.recourse)
         if not isinstance(self.n, int) or self.n < 1:
             raise InstanceError(f"n: objective count must be a positive integer, got {self.n!r}")
         for label, ids in (("decisions", self.decisions), ("scenarios", self.scenarios)):
@@ -84,9 +88,10 @@ class Instance:
                 if d in seen:
                     raise InstanceError(f"{label}: duplicate identifier {d!r}")
                 seen.add(d)
+        signed_zero = set()
         for x in self.decisions:
             for u in self.scenarios:
-                pts = self.recourse.get((x, u))
+                pts = recourse.get((x, u))
                 if pts is None:
                     raise InstanceError(f"recourse.{x}.{u}: missing recourse set at ({x},{u})")
                 if len(pts) == 0:
@@ -101,11 +106,26 @@ class Instance:
                             raise InstanceError(
                                 f"recourse.{x}.{u}[{idx}]: non-finite entry {c!r}"
                             )
-        if len(self.recourse) != len(self.decisions) * len(self.scenarios):
-            extra = set(self.recourse) - {
+                    if 0.0 in p and any(math.copysign(1.0, c) < 0 for c in p if c == 0.0):
+                        signed_zero.add((x, u))
+        if len(recourse) != len(self.decisions) * len(self.scenarios):
+            extra = set(recourse) - {
                 (x, u) for x in self.decisions for u in self.scenarios
             }
             raise InstanceError(f"recourse: unexpected keys {sorted(extra)}")
+        # -0.0 == 0.0 but prints differently; reading it as 0.0 keeps every
+        # value independent of the order of the points
+        for key in signed_zero:
+            recourse[key] = tuple(tuple(c + 0.0 for c in p) for p in recourse[key])
+        # _cache memoizes the fronts that verdicts and scalar values read,
+        # so the data behind them must not change after first use
+        object.__setattr__(self, "recourse", MappingProxyType(recourse))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild from a plain copy, with an
+        # empty front cache
+        return (type(self), (self.name, self.n, self.decisions, self.scenarios,
+                             dict(self.recourse), self.sampled))
 
     def points(self, x: str, u: str) -> tuple[Vec, ...]:
         """Recourse image for a pair, with identifier checking."""

@@ -52,6 +52,10 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     likewise only moves forward.  The scan
     inlines the finite comparisons of :class:`Tolerance`; input with a
     non-finite coordinate (or none at all) takes the unpruned pairwise filter.
+
+    Two objectives at tau = 0 under MIN take a one-pass sweep instead (Kung,
+    Luccio & Preparata 1975): every dominator or duplicate of p sorts before
+    p, so p survives iff ``p[1]`` is smaller than that of the last point kept.
     """
     pts = sorted(tuple(p) for p in points)
     if not pts:
@@ -64,6 +68,8 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
         return _pairwise_front(pts, orientation, tol)
     tau = tol.tau
     is_min = orientation is Orientation.MIN
+    if n == 2 and tau == 0.0 and is_min:
+        return _sweep_min_front2(pts)
     m = len(pts)
     # candidates for the current p are pts[lo:hi]
     lo, hi = 0, (0 if is_min else m)
@@ -96,6 +102,17 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
             else:
                 keep.append(p)
     return FrontSet(tuple(keep), orientation)
+
+
+def _sweep_min_front2(pts: list[Vec]) -> FrontSet:
+    """The exact MIN front of sorted, finite two-objective points in one pass."""
+    keep: list[Vec] = []
+    best = math.inf
+    for p in pts:
+        if p[1] < best:
+            keep.append(p)
+            best = p[1]
+    return FrontSet(tuple(keep), Orientation.MIN)
 
 
 def _pairwise_front(pts: list[Vec], orientation: Orientation, tol: Tolerance) -> FrontSet:

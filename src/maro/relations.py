@@ -35,6 +35,8 @@ class SetRelFamily(Enum):
 
 
 def _check_lam(lam: Vec):
+    if not all(map(math.isfinite, lam)):
+        raise ValueError(f"weight vector must be finite, got {lam}")
     if any(c < 0 for c in lam):
         raise ValueError(f"weight vector must be componentwise non-negative, got {lam}")
     if all(c == 0 for c in lam):
@@ -46,7 +48,7 @@ class SetRelSpec:
     """A selected set relation: family, strictness, and weights if needed.
 
     ``lam`` is required exactly for the weighted-minimum family; it must be
-    non-negative and non-zero but need not be normalized.
+    finite, non-negative and non-zero but need not be normalized.
     """
 
     family: SetRelFamily
@@ -65,7 +67,8 @@ class SetRelSpec:
 
 @dataclass(frozen=True)
 class Weight:
-    """A point on the weight simplex: non-negative entries summing to one."""
+    """A point on the weight simplex: finite non-negative entries summing
+    to one."""
 
     values: Vec
 

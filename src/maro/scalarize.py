@@ -10,6 +10,17 @@ The first two come with scenario-independent guarantees; the point-based
 value is bounded only by the ideal points of the reachable outcome set.
 Selection semantics on scalar values: the plain efficient set is the
 minimizer set, the strict one is the unique minimizer (ties empty it).
+
+Every per-scenario minimum, and every per-scenario existence test of the
+bound checkers, reads the exact (tau = 0) efficient front of the recourse
+image instead of all its points.  That front drops a point q only for a
+point p with p_i <= q_i in every coordinate.  Weights are finite and
+non-negative and float ``*``, ``+`` and ``-`` round monotonically, so
+``dot(lam, p) <= dot(lam, q)``, p meets every cap q meets, and
+``p_k <= q_k``: each minimum is the same float and each test the same
+boolean as over all points.  The front is taken at tau = 0, never at the
+caller's tolerance, because a tau-front may drop a point better by up to
+tau.  Fronts are memoized per instance, so a pass builds each one once.
 """
 
 from __future__ import annotations
@@ -17,16 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .efficiency import Strictness
+from .efficiency import _VEC_REL, Strictness
 from .instances import DEFAULT_TOL, INF, Instance, InstanceError, Tolerance, Vec
-from .pareto import Orientation, ideal
+from .pareto import Orientation, ideal, inner_efficient
 from .relations import VecRel, Weight, dot, vec_cmp
 
-_VEC_REL = {
-    Strictness.STRICT: VecRel.LEQQ,
-    Strictness.PLAIN: VecRel.LEQ,
-    Strictness.WEAK: VecRel.LT,
-}
+_EXACT = Tolerance(0.0)
+
+
+def _front(inst: Instance, x: str, u: str) -> tuple[Vec, ...]:
+    """Exact efficient front of the recourse image at ``(x, u)``: every
+    minimum of a monotone scalarization over the image is attained on it."""
+    return inner_efficient(inst, x, u, _EXACT).points
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,7 @@ def f_lambda(inst: Instance, x: str, lam: Weight) -> float:
         raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
     if x not in inst.decisions:
         raise InstanceError(f"unknown decision {x!r}")
-    return max(min(dot(lam.values, p) for p in inst.points(x, u)) for u in inst.scenarios)
+    return max(min(dot(lam.values, p) for p in _front(inst, x, u)) for u in inst.scenarios)
 
 
 def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -100,7 +113,7 @@ def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) 
     per_scenario = []
     for u in inst.scenarios:
         best = INF
-        for p in inst.points(x, u):
+        for p in _front(inst, x, u):
             if all(tol.leq(p[i], gb.eps[i]) for i in range(inst.n) if i != k):
                 if p[k] < best:
                     best = p[k]
@@ -113,7 +126,7 @@ def f_pb(inst: Instance, x: str) -> Vec:
     if x not in inst.decisions:
         raise InstanceError(f"unknown decision {x!r}")
     return tuple(
-        max(min(p[i] for p in inst.points(x, u)) for u in inst.scenarios)
+        max(min(p[i] for p in _front(inst, x, u)) for u in inst.scenarios)
         for i in range(inst.n)
     )
 
@@ -181,7 +194,7 @@ def check_ws_bound(inst: Instance, x: str, lam: Weight, g,
     guarantee."""
     gv = _gval(g)
     return all(
-        any(tol.leq(dot(lam.values, p), gv) for p in inst.points(x, u))
+        any(tol.leq(dot(lam.values, p), gv) for p in _front(inst, x, u))
         for u in inst.scenarios
     )
 
@@ -197,7 +210,7 @@ def check_eps_bound(inst: Instance, x: str, gb: GenBound, g,
         any(
             all(tol.leq(p[i], gb.eps[i]) for i in range(inst.n) if i != k)
             and tol.leq(p[k], gv)
-            for p in inst.points(x, u)
+            for p in _front(inst, x, u)
         )
         for u in inst.scenarios
     )

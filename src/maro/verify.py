@@ -16,10 +16,11 @@ from .efficiency import (
     Kind,
     Strictness,
     Verdict,
+    derived_set_relation,
     maro_efficient,
     mro_efficient,
 )
-from .images import BoundGrid, image_eps_grid, image_pb, image_ws
+from .images import BoundGrid, image_eps, image_eps_grid, image_pb, image_ws, simplex_grid
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, make_instance
 from .pareto import Orientation, inner_efficient, nondominated
 from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, set_cmp, vec_cmp
@@ -31,6 +32,7 @@ from .scalarize import (
     f_eps_j,
     f_lambda,
     f_pb,
+    pb_efficient_set,
     pb_trivial_bounds,
     ws_efficient_set,
 )
@@ -228,8 +230,6 @@ _CHAIN = (
 
 def _replay(inst: Instance, x: str, verdict: Verdict, spec: SetRelSpec,
             strictness: Strictness, tol: Tolerance) -> bool:
-    from .efficiency import derived_set_relation
-
     rel = derived_set_relation(spec, strictness)
     return all(
         set_cmp(inner_efficient(inst, xp, u, tol).points,
@@ -379,8 +379,6 @@ def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
             for x in inst.decisions:
                 rep.cases += 1
                 for kind, s in _CHAIN:
-                    from .efficiency import derived_set_relation
-
                     direct = single_scenario_efficient(
                         inst, x, derived_set_relation(spec, s), tol
                     )
@@ -473,8 +471,6 @@ ALL_CHECKS = (
 
 
 def _battery_weights(n: int) -> list[Weight]:
-    from .images import simplex_grid
-
     grid = simplex_grid(n, 4)
     idx = sorted({0, len(grid) // 4, len(grid) // 2, 3 * len(grid) // 4, len(grid) - 1})
     return [Weight(grid[i]) for i in idx]
@@ -561,15 +557,11 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
 def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
                      tol: Tolerance = DEFAULT_TOL) -> dict:
     """Machine-readable side-by-side of the three concepts on one instance."""
-    from .scalarize import pb_efficient_set
-
     ws_plain = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
     ws_strict = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
     eps_plain = eps_efficient_set(inst, gb, Strictness.PLAIN, tol)
     eps_strict = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
     ws_img = image_ws(inst, lam, tol)
-    from .images import image_eps
-
     eps_img = image_eps(inst, gb, tol)
     pb_img = image_pb(inst, tol)
     return {

@@ -1,7 +1,7 @@
 import hypothesis
 import hypothesis.strategies as st
 
-from maro import GenConfig, generate
+from maro import GenConfig, generate, make_instance
 
 hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("suite")
@@ -30,6 +30,22 @@ def near_tie_sets(n, tau, max_size=6):
     return st.tuples(vecs, st.sampled_from((1.0, 1e12))).map(
         lambda t: [tuple(g * t[1] + off for g, off in p) for p in t[0]]
     )
+
+
+def near_tie_instances(tau):
+    """Two-objective instances with 1-3 decisions and 1-2 scenarios whose
+    recourse sets are drawn from ``near_tie_sets``."""
+
+    def build(shape):
+        nx, nu = shape
+        keys = [(f"x{i}", f"u{k}") for i in range(nx) for k in range(nu)]
+        sets = st.lists(near_tie_sets(2, tau), min_size=len(keys), max_size=len(keys))
+        return sets.map(lambda ss: make_instance(
+            "near-tie", 2, [f"x{i}" for i in range(nx)], [f"u{k}" for k in range(nu)],
+            dict(zip(keys, ss)),
+        ))
+
+    return st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(build)
 
 
 def weights(n=2):

@@ -32,11 +32,12 @@ def brute_f_lambda(inst, x, lam):
     return worst
 
 
-def brute_f_eps_j(inst, x, eps, j):
+def brute_f_eps_j(inst, x, eps, j, tau=0.0):
     """max over scenarios of constrained min of objective j (1-based).
 
-    A point is admissible when every other coordinate stays within eps;
-    an empty admissible set yields +inf for that scenario.
+    A point is admissible when every other coordinate stays within eps
+    (under slack ``tau``); an empty admissible set yields +inf for that
+    scenario.
     """
     k = j - 1
     worst = -math.inf
@@ -45,7 +46,7 @@ def brute_f_eps_j(inst, x, eps, j):
         for p in inst.recourse[(x, u)]:
             ok = True
             for i in range(len(p)):
-                if i != k and p[i] > eps[i]:
+                if i != k and not _tol_leq(p[i], eps[i], tau):
                     ok = False
                     break
             if ok and p[k] < best:
@@ -123,10 +124,61 @@ def _tol_leq(a, b, tau):
     return a - b <= tau
 
 
+def _tol_lt(a, b, tau):
+    if math.isinf(a) or math.isinf(b):
+        return a < b
+    return b - a > tau
+
+
 def _tol_eq(a, b, tau):
     if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(a - b) <= tau
+
+
+def brute_check_ws_bound(inst, x, lam, g, tau):
+    """Every scenario has a recourse point with weighted sum <= g within tau."""
+    for u in inst.scenarios:
+        if not any(_tol_leq(dot(lam, p), g, tau) for p in inst.recourse[(x, u)]):
+            return False
+    return True
+
+
+def brute_check_eps_bound(inst, x, eps, j, g, tau):
+    """Every scenario has a recourse point within all caps and with
+    objective j (1-based) <= g, all under slack tau."""
+    k = j - 1
+    for u in inst.scenarios:
+        found = False
+        for p in inst.recourse[(x, u)]:
+            ok = _tol_leq(p[k], g, tau)
+            for i in range(len(p)):
+                if i != k and not _tol_leq(p[i], eps[i], tau):
+                    ok = False
+            if ok:
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def brute_image_ws(inst, lam, tau):
+    """Sorted outcome vectors of the plain weighted-sum minimizers at their
+    worst-case scenarios and best recourse points, equal within tau."""
+    values = {x: brute_f_lambda(inst, x, lam) for x in inst.decisions}
+    out = set()
+    for x in inst.decisions:
+        if any(_tol_lt(values[xp], values[x], tau) for xp in inst.decisions):
+            continue
+        for u in inst.scenarios:
+            m = min(dot(lam, p) for p in inst.recourse[(x, u)])
+            if not _tol_eq(m, values[x], tau):
+                continue
+            for p in inst.recourse[(x, u)]:
+                if _tol_eq(dot(lam, p), m, tau):
+                    out.add(p)
+    return tuple(sorted(out))
 
 
 def tol_front(points, orientation, tau):

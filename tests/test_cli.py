@@ -68,6 +68,15 @@ def test_solve_ws(capsys):
     assert doc["efficient"] == ["x2"] and doc["guarantees"]["x2"] == 5
 
 
+@pytest.mark.parametrize("lam", ["nan,1", "1,nan", "inf,1"])
+def test_non_finite_weights_are_usage_errors(capsys, lam):
+    code, out, err = run(capsys, "solve-ws", "--fixture", "FIG2L", "--lambda", lam)
+    assert (code, out) == (2, "") and err.startswith("maro: ") and "finite" in err
+    code, out, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
+                         "--kind", "flimsy", "--rel", f"lmin:{lam}")
+    assert (code, out) == (2, "") and err.startswith("maro: ") and "finite" in err
+
+
 def test_solve_eps_with_placeholder(capsys):
     code, out, _ = run(capsys, "solve-eps", "--fixture", "FIG2L",
                        "--eps", "_,7", "--j", "1")

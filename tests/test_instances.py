@@ -1,7 +1,9 @@
 """Instance model, JSON schema, tolerance policy, and built-in fixtures."""
 
+import copy
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -174,3 +176,25 @@ def test_instance_requires_nonempty_axes():
         Instance("z", 2, (), ("u",), {})
     with pytest.raises(InstanceError, match="scenarios"):
         Instance("z", 2, ("x",), (), {})
+
+
+def test_recourse_is_read_only():
+    raw = {("x", "u"): ((1.0, 2.0),)}
+    inst = Instance("ro", 2, ("x",), ("u",), raw)
+    with pytest.raises(TypeError):
+        inst.recourse[("x", "u")] = ((0.0, 0.0),)
+    # the instance keeps its own copy of the caller's mapping
+    raw[("x", "u")] = ((0.0, 0.0),)
+    assert inst.points("x", "u") == ((1.0, 2.0),)
+    copy = dict(inst.recourse)
+    assert copy == {("x", "u"): ((1.0, 2.0),)}
+    assert Instance("ro", 2, ("x",), ("u",), copy) == inst
+
+
+def test_instance_pickles_and_copies():
+    inst = fixture("FIG5")
+    inst.points("x1", "u1")
+    for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst), copy.copy(inst)):
+        assert other == inst and other.recourse is not inst.recourse
+        with pytest.raises(TypeError):
+            other.recourse[("x1", "u1")] = ((0.0, 0.0),)

@@ -125,6 +125,24 @@ def test_candidate_bound_uses_the_checked_difference():
     assert nondominated([p, q], Orientation.MAX, tol).points == (p,)
 
 
+def test_two_objective_sweep_fixed_cases():
+    tol0 = Tolerance(0.0)
+    # equal first coordinates and exact duplicates
+    S = [(1.0, 5.0), (1.0, 3.0), (1.0, 3.0), (2.0, 3.0), (2.0, 1.0), (0.0, 9.0),
+         (3.0, 0.5), (3.0, 0.5)]
+    lo = nondominated(S, Orientation.MIN, tol0).points
+    assert lo == ((0.0, 9.0), (1.0, 3.0), (2.0, 1.0), (3.0, 0.5))
+    assert list(lo) == tol_front(S, "min", 0.0)
+    # points equal up to the sign of a zero keep the first in sorted order
+    for S in ([(0.0, 1.0), (-0.0, 1.0)], [(-0.0, 1.0), (0.0, 1.0)]):
+        got = nondominated(S, Orientation.MIN, tol0).points
+        assert repr(got) == repr(tuple(tol_front(S, "min", 0.0))) == repr((S[0],))
+    # an infinite coordinate takes the pairwise filter
+    assert nondominated([(0.0, INF), (1.0, INF)], Orientation.MIN, tol0).points == ((0.0, INF),)
+    assert nondominated([(0.0, -INF), (1.0, -INF)], Orientation.MIN, tol0).points == (
+        (0.0, -INF),)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
 @given(data=st.data())

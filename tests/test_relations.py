@@ -1,5 +1,7 @@
 """Vector and set order relations, weights, and the relation parser."""
 
+import math
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -83,6 +85,15 @@ def test_weight_validation():
         Weight((0.5, 0.2))
     with pytest.raises(ValueError, match="non-negative"):
         Weight((1.5, -0.5))
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Weight(bad)
+    for strict in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            lmin(bad, strict)
 
 
 @pytest.mark.parametrize("spec", [U, L, lmin((0.3, 0.7))])

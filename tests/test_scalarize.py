@@ -1,8 +1,10 @@
 """Weighted-sum, constraint, and point-based concepts with their bounds."""
 
+import json
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -10,6 +12,7 @@ from maro import (
     GenBound,
     GenConfig,
     INF,
+    Instance,
     Strictness,
     Tolerance,
     Weight,
@@ -21,14 +24,24 @@ from maro import (
     f_pb,
     fixture,
     generate,
+    image_ws,
+    load_instance,
     make_instance,
     pb_efficient_set,
     pb_trivial_bounds,
+    simplex_grid,
     ws_efficient_set,
 )
 
-from conftest import instances
-from oracles import brute_f_eps_j, brute_f_lambda, brute_f_pb
+from conftest import instances, near_tie_instances
+from oracles import (
+    brute_check_eps_bound,
+    brute_check_ws_bound,
+    brute_f_eps_j,
+    brute_f_lambda,
+    brute_f_pb,
+    brute_image_ws,
+)
 
 HALF = Weight((0.5, 0.5))
 
@@ -202,3 +215,56 @@ def test_bitwise_oracle_agreement_small():
             assert f_lambda(inst, x, lam) == brute_f_lambda(inst, x, lam.values)
             assert f_eps_j(inst, x, gb, tol0) == brute_f_eps_j(inst, x, gb.eps, gb.j)
             assert f_pb(inst, x) == brute_f_pb(inst, x)
+
+
+def _assert_front_reads_match_all_points(inst, tau, data):
+    """The minima and bound checks read the exact front; the all-point
+    oracles must give the same floats (by repr, so a signed zero shows) and
+    the same booleans at and around each value."""
+    tol = Tolerance(tau)
+    slacks = (0.0, tau, -tau, 2 * tau, -2 * tau)
+    # the grid holds the unit vectors and, for two objectives, (0.5, 0.5)
+    for w in simplex_grid(inst.n, 4):
+        lam = Weight(w)
+        assert repr(image_ws(inst, lam, tol)) == repr(brute_image_ws(inst, w, tau))
+        for x in inst.decisions:
+            v = f_lambda(inst, x, lam)
+            assert repr(v) == repr(brute_f_lambda(inst, x, w))
+            for d in slacks:
+                assert (check_ws_bound(inst, x, lam, v + d, tol)
+                        == brute_check_ws_bound(inst, x, w, v + d, tau))
+    pool = sorted({p for pts in inst.recourse.values() for p in pts})
+    corner = data.draw(st.sampled_from(pool))
+    shift = data.draw(st.sampled_from(slacks))
+    gb = GenBound(tuple(c + shift for c in corner), data.draw(st.integers(1, inst.n)))
+    for x in inst.decisions:
+        assert repr(f_pb(inst, x)) == repr(brute_f_pb(inst, x))
+        v = f_eps_j(inst, x, gb, tol)
+        assert repr(v) == repr(brute_f_eps_j(inst, x, gb.eps, gb.j, tau))
+        for d in slacks:
+            assert (check_eps_bound(inst, x, gb, v + d, tol)
+                    == brute_check_eps_bound(inst, x, gb.eps, gb.j, v + d, tau))
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9])
+@given(inst=instances, data=st.data())
+def test_front_reads_match_all_points_on_generated_instances(tau, inst, data):
+    _assert_front_reads_match_all_points(inst, tau, data)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9])
+@given(data=st.data())
+def test_front_reads_match_all_points_on_near_ties(tau, data):
+    _assert_front_reads_match_all_points(data.draw(near_tie_instances(tau)), tau, data)
+
+
+def test_signed_zero_values_do_not_depend_on_point_order():
+    gb = GenBound((0.0, 2.0), 1)
+    for pts in ([(-0.0, 1.0), (0.0, 0.5)], [(0.0, 0.5), (-0.0, 1.0)]):
+        doc = json.dumps({"name": "z", "n": 2, "decisions": ["x"], "scenarios": ["u"],
+                          "recourse": {"x": {"u": pts}}})
+        for inst in (make_instance("z", 2, ["x"], ["u"], {"x": {"u": pts}}),
+                     load_instance(doc),
+                     Instance("z", 2, ("x",), ("u",), {("x", "u"): tuple(pts)})):
+            assert repr(f_pb(inst, "x")) == "(0.0, 0.5)"
+            assert repr(f_eps_j(inst, "x", gb)) == "0.0"
