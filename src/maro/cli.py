@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .efficiency import Kind, Strictness, maro_efficient, mro_efficient
+from .efficiency import _VEC_REL, Kind, Strictness, maro_efficient, mro_efficient
 from .fixtures import FIXTURE_META, FIXTURE_NAMES, fixture
 from .images import (
     BoundGrid,
@@ -130,8 +130,7 @@ def _cmd_efficiency(args) -> int:
     kind = Kind(args.kind)
     if args.mro:
         if isinstance(rel, VecRel):
-            strictness = {VecRel.LEQQ: Strictness.STRICT, VecRel.LEQ: Strictness.PLAIN,
-                          VecRel.LT: Strictness.WEAK}[rel]
+            strictness = {r: s for s, r in _VEC_REL.items()}[rel]
         verdict = mro_efficient(inst, args.x, kind, strictness, tol)
         relation = strictness.value
     else:

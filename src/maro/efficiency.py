@@ -15,9 +15,12 @@ per scenario at which the defining relation held.
 ``mro_efficient`` evaluates the corresponding single-valued robust notions
 (plus the point-based one) on instances whose recourse images are all
 singletons, where the three-stage problem collapses to a two-stage one.
-``smaro_set`` computes the stagewise min/max/min nondominance nesting; the
-fixtures FIG2L/FIG2R document why membership in it is not a trustworthy
-efficiency notion.
+Both checkers return through one reduction, ``_decide``; ``mro_efficient``
+supplies a vector relation on the singleton values, and reads plain
+multi-scenario efficiency as that relation on the outcome vectors
+concatenated over all scenarios.  ``smaro_set`` computes the stagewise
+min/max/min nondominance nesting; the fixtures FIG2L/FIG2R document why
+membership in it is not a trustworthy efficiency notion.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
-from .pareto import FrontSet, Orientation, _vec_eq, inner_efficient, nondominated
-from .relations import SetRelSpec, VecRel, set_cmp, vec_cmp
+from .pareto import FrontSet, Orientation, inner_efficient, nondominated
+from .relations import SetRelSpec, VecRel, _vec_eq, set_cmp, vec_cmp
 
 
 class Kind(Enum):
@@ -77,13 +80,41 @@ def _check_decision(inst: Instance, x: str):
         raise InstanceError(f"unknown decision {x!r}")
 
 
+def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Verdict:
+    """The flimsy/highly/multi-scenario reduction shared by both checkers.
+
+    ``dominates(xp, u)`` decides domination of ``x`` by ``xp`` in scenario
+    ``u``, ``dominates_all(xp)`` over all scenarios at once.  Competitors are
+    scanned in lexicographic order and scenarios in document order, so
+    negative verdicts are deterministic; point-based witnesses name no
+    scenario.
+    """
+    others = sorted(d for d in inst.decisions if d != x)
+    if kind in (Kind.MULTI_SCENARIO, Kind.POINT_BASED):
+        dom = next((xp for xp in others if dominates_all(xp)), None)
+        if dom is None:
+            return _EFFICIENT
+        named = () if kind is Kind.POINT_BASED else inst.scenarios
+        return Verdict(False, Witness(dom, tuple((u, dom) for u in named)))
+
+    per_scenario: list[tuple[str, str]] = []
+    for u in inst.scenarios:
+        dom = next((xp for xp in others if dominates(xp, u)), None)
+        if dom is None and kind is Kind.FLIMSY:
+            return _EFFICIENT
+        if dom is not None and kind is Kind.HIGHLY:
+            return Verdict(False, Witness(dom, ((u, dom),)))
+        per_scenario.append((u, dom))
+    if kind is Kind.HIGHLY:
+        return _EFFICIENT
+    # flimsy failed: every scenario produced a dominator
+    return Verdict(False, Witness(per_scenario[0][1], tuple(per_scenario)))
+
+
 def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
                    spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Decide three-stage efficiency of ``x`` under the selected set relation.
-
-    Competitors are scanned in lexicographic order and scenarios in document
-    order, so negative verdicts are deterministic.
-    """
+    """Decide three-stage efficiency of ``x`` under the selected set relation,
+    comparing inner efficient fronts scenario by scenario."""
     _check_decision(inst, x)
     if kind is Kind.POINT_BASED:
         raise ValueError("point-based efficiency is a vector notion; "
@@ -93,32 +124,13 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
     if kind is Kind.MULTI_SCENARIO and strictness is not Strictness.STRICT:
         raise ValueError("weak multi-scenario efficiency is undefined")
     rel = derived_set_relation(spec, strictness)
-    others = sorted(d for d in inst.decisions if d != x)
+    mine = {u: inner_efficient(inst, x, u, tol).points for u in inst.scenarios}
 
     def dominates(xp: str, u: str) -> bool:
-        return set_cmp(inner_efficient(inst, xp, u, tol).points,
-                       inner_efficient(inst, x, u, tol).points, rel, tol)
+        return set_cmp(inner_efficient(inst, xp, u, tol).points, mine[u], rel, tol)
 
-    if kind is Kind.MULTI_SCENARIO:
-        for xp in others:
-            if all(dominates(xp, u) for u in inst.scenarios):
-                return Verdict(False, Witness(xp, tuple((u, xp) for u in inst.scenarios)))
-        return _EFFICIENT
-
-    per_scenario: list[tuple[str, str]] = []
-    for u in inst.scenarios:
-        dom = next((xp for xp in others if dominates(xp, u)), None)
-        if dom is None:
-            if kind is Kind.FLIMSY:
-                return _EFFICIENT
-        else:
-            if kind is Kind.HIGHLY:
-                return Verdict(False, Witness(dom, ((u, dom),)))
-            per_scenario.append((u, dom))
-    if kind is Kind.HIGHLY:
-        return _EFFICIENT
-    # flimsy failed: every scenario produced a dominator
-    return Verdict(False, Witness(per_scenario[0][1], tuple(per_scenario)))
+    return _decide(inst, x, kind, dominates,
+                   lambda xp: all(dominates(xp, u) for u in inst.scenarios))
 
 
 @dataclass(frozen=True)
@@ -154,15 +166,11 @@ _VEC_REL = {
 
 
 def _singleton_values(inst: Instance) -> dict[tuple[str, str], tuple[float, ...]]:
-    vals = {}
-    for key, pts in inst.recourse.items():
+    for (x, u), pts in inst.recourse.items():
         if len(pts) != 1:
-            raise InstanceError(
-                f"recourse.{key[0]}.{key[1]}: two-stage robust notions need "
-                f"singleton recourse sets, found {len(pts)} points"
-            )
-        vals[key] = pts[0]
-    return vals
+            raise InstanceError(f"recourse.{x}.{u}: two-stage robust notions need "
+                                f"singleton recourse sets, found {len(pts)} points")
+    return {key: pts[0] for key, pts in inst.recourse.items()}
 
 
 def mro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
@@ -170,55 +178,24 @@ def mro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
     """Two-stage robust efficiency on singleton-recourse instances.
 
     Strictness selects the vector relation (strict: componentwise <=;
-    plain: <= and not equal; weak: componentwise <).  The multi-scenario
-    notion exists in strict and plain variants only.
+    plain: <= and not equal; weak: componentwise <).  Multi-scenario
+    efficiency (strict and plain only) applies it to the outcome vectors
+    concatenated over all scenarios: <= in every scenario, and for plain
+    also not equal in some.  Point-based efficiency applies it to the
+    per-objective worst cases over scenarios.
     """
     _check_decision(inst, x)
     vals = _singleton_values(inst)
     if kind is Kind.MULTI_SCENARIO and strictness is Strictness.WEAK:
         raise ValueError("weak multi-scenario efficiency is undefined")
     rel = _VEC_REL[strictness]
-    others = sorted(d for d in inst.decisions if d != x)
 
-    if kind is Kind.POINT_BASED:
-        def maxvec(d):
-            return tuple(max(vals[(d, u)][i] for u in inst.scenarios)
-                         for i in range(inst.n))
-        mine = maxvec(x)
-        for xp in others:
-            if vec_cmp(maxvec(xp), mine, rel, tol):
-                return Verdict(False, Witness(xp, ()))
-        return _EFFICIENT
+    def outcome(d: str) -> tuple[float, ...]:
+        if kind is Kind.POINT_BASED:
+            return tuple(max(vals[(d, u)][i] for u in inst.scenarios) for i in range(inst.n))
+        return tuple(c for u in inst.scenarios for c in vals[(d, u)])
 
-    if kind is Kind.MULTI_SCENARIO:
-        for xp in others:
-            leqq_all = all(
-                vec_cmp(vals[(xp, u)], vals[(x, u)], VecRel.LEQQ, tol)
-                for u in inst.scenarios
-            )
-            if not leqq_all:
-                continue
-            if strictness is Strictness.PLAIN and not any(
-                vec_cmp(vals[(xp, u)], vals[(x, u)], VecRel.LEQ, tol)
-                for u in inst.scenarios
-            ):
-                continue
-            return Verdict(False, Witness(xp, tuple((u, xp) for u in inst.scenarios)))
-        return _EFFICIENT
-
-    per_scenario: list[tuple[str, str]] = []
-    for u in inst.scenarios:
-        dom = next(
-            (xp for xp in others if vec_cmp(vals[(xp, u)], vals[(x, u)], rel, tol)),
-            None,
-        )
-        if dom is None:
-            if kind is Kind.FLIMSY:
-                return _EFFICIENT
-        else:
-            if kind is Kind.HIGHLY:
-                return Verdict(False, Witness(dom, ((u, dom),)))
-            per_scenario.append((u, dom))
-    if kind is Kind.HIGHLY:
-        return _EFFICIENT
-    return Verdict(False, Witness(per_scenario[0][1], tuple(per_scenario)))
+    mine = outcome(x)
+    return _decide(inst, x, kind,
+                   lambda xp, u: vec_cmp(vals[(xp, u)], vals[(x, u)], rel, tol),
+                   lambda xp: vec_cmp(outcome(xp), mine, rel, tol))

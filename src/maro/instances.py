@@ -182,6 +182,8 @@ def load_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InstanceError(f"$: not valid JSON ({e.msg} at line {e.lineno})") from None
+    except ValueError as e:  # an integer literal beyond the digit limit of int()
+        raise InstanceError(f"$: not valid JSON ({e})") from None
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
     for key in ("name", "n", "decisions", "scenarios", "recourse"):
         _require(key in doc, key, "missing required field")
@@ -218,7 +220,12 @@ def load_instance(text: str) -> Instance:
                         f"{path}[{i}]",
                         f"coordinates must be numbers, got {c!r}",
                     )
-                    _require(math.isfinite(c), f"{path}[{i}]", f"non-finite entry {c!r}")
+                    try:
+                        finite = math.isfinite(c)
+                    except OverflowError:
+                        raise InstanceError(f"{path}[{i}]: integer coordinate too large "
+                                            f"for a float") from None
+                    _require(finite, f"{path}[{i}]", f"non-finite entry {c!r}")
             recourse[(x, u)] = tuple(tuple(float(c) for c in p) for p in pts)
     for x in doc["decisions"]:
         for u in doc["scenarios"]:

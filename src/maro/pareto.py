@@ -8,7 +8,7 @@ from enum import Enum
 from itertools import chain
 
 from .instances import DEFAULT_TOL, Instance, Tolerance, Vec
-from .relations import VecRel, vec_cmp
+from .relations import VecRel, _vec_eq, vec_cmp
 
 
 class Orientation(Enum):
@@ -28,10 +28,6 @@ class FrontSet:
 
     def __len__(self):
         return len(self.points)
-
-
-def _vec_eq(a: Vec, b: Vec, tol: Tolerance) -> bool:
-    return all(tol.eq(a[i], b[i]) for i in range(len(a)))
 
 
 def nondominated(points, orientation: Orientation = Orientation.MIN,

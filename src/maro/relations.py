@@ -90,6 +90,10 @@ def dot(lam: Vec, p: Vec) -> float:
     return s
 
 
+def _vec_eq(a: Vec, b: Vec, tol: Tolerance) -> bool:
+    return all(tol.eq(a[i], b[i]) for i in range(len(a)))
+
+
 def vec_cmp(a: Vec, b: Vec, rel: VecRel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Compare two objective vectors under the selected relation."""
     if len(a) != len(b):
@@ -99,7 +103,7 @@ def vec_cmp(a: Vec, b: Vec, rel: VecRel, tol: Tolerance = DEFAULT_TOL) -> bool:
     leqq = all(tol.leq(a[i], b[i]) for i in range(len(a)))
     if rel is VecRel.LEQQ:
         return leqq
-    return leqq and not all(tol.eq(a[i], b[i]) for i in range(len(a)))
+    return leqq and not _vec_eq(a, b, tol)
 
 
 def weighted_min(points, lam: Vec) -> float:

@@ -23,7 +23,7 @@ from .efficiency import (
 from .images import BoundGrid, image_eps, image_eps_grid, image_pb, image_ws, simplex_grid
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, make_instance
 from .pareto import Orientation, inner_efficient, nondominated
-from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, set_cmp, vec_cmp
+from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp, vec_cmp
 from .scalarize import (
     GenBound,
     check_eps_bound,
@@ -355,20 +355,16 @@ def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
     # ones (upper/lower families); the weighted-minimum family implies them
     if all(len(pts) == 1 for pts in inst.recourse.values()):
         rep = reps["lemma_singleton_recourse_coherence"]
-        combos = [(Kind.FLIMSY, Strictness.STRICT), (Kind.FLIMSY, Strictness.WEAK),
-                  (Kind.HIGHLY, Strictness.STRICT), (Kind.HIGHLY, Strictness.WEAK),
-                  (Kind.MULTI_SCENARIO, Strictness.STRICT)]
         for x in inst.decisions:
             rep.cases += 1
-            for kind, s in combos:
+            for kind, s in _CHAIN:
                 mro = mro_efficient(inst, x, kind, s, tol).efficient
-                for family in (SetRelFamily.UPPER, SetRelFamily.LOWER):
-                    maro = maro_efficient(inst, x, kind, s, SetRelSpec(family), tol).efficient
+                for spec in specs[:2]:
+                    maro = maro_efficient(inst, x, kind, s, spec, tol).efficient
                     if maro != mro:
                         rep.fail(inst, f"x={x} {kind.value}/{s.value}: two-stage "
-                                       f"{mro} vs three-stage[{family.value}] {maro}")
-                lam_spec = _family_specs(inst.n)[2]
-                if maro_efficient(inst, x, kind, s, lam_spec, tol).efficient and not mro:
+                                       f"{mro} vs three-stage[{spec.family.value}] {maro}")
+                if maro_efficient(inst, x, kind, s, specs[2], tol).efficient and not mro:
                     rep.fail(inst, f"x={x} {kind.value}/{s.value}: weighted-minimum "
                                    f"efficiency without two-stage efficiency")
 
@@ -404,7 +400,7 @@ def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
         if not tol.eq(f_eps_j(inst, x, gb, tol), f_eps_j(reduced, x, gb, tol)):
             rep.fail(inst, f"f_eps_j changed for x={x}")
         a, b = f_pb(inst, x), f_pb(reduced, x)
-        if not all(tol.eq(a[i], b[i]) for i in range(inst.n)):
+        if not _vec_eq(a, b, tol):
             rep.fail(inst, f"f_pb changed for x={x}")
 
     # unit weights reduce the weighted sum to one point-based component
@@ -435,10 +431,8 @@ def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
     pooled = {p for pts in inst.recourse.values() for p in pts}
     front = set(nondominated(pooled, Orientation.MIN, tol).points)
     for x in inst.decisions:
-        hits = any(
-            any(all(tol.eq(p[i], q[i]) for i in range(inst.n)) for q in front)
-            for u in inst.scenarios for p in inst.points(x, u)
-        )
+        hits = any(_vec_eq(p, q, tol) for u in inst.scenarios
+                   for p in inst.points(x, u) for q in front)
         if not hits:
             continue
         note.cases += 1
@@ -507,6 +501,8 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
     All randomness (instance shapes, coordinates, weights, bounds) derives
     from ``seed``; two runs with equal arguments produce identical reports.
     """
+    if count < 1:
+        raise ValueError(f"count must be a positive integer, got {count}")
     wanted = set(check_ids) if check_ids else set(ALL_CHECKS)
     unknown = wanted - set(ALL_CHECKS)
     if unknown:

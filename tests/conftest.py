@@ -32,14 +32,15 @@ def near_tie_sets(n, tau, max_size=6):
     )
 
 
-def near_tie_instances(tau):
+def near_tie_instances(tau, max_size=6):
     """Two-objective instances with 1-3 decisions and 1-2 scenarios whose
-    recourse sets are drawn from ``near_tie_sets``."""
+    recourse sets are drawn from ``near_tie_sets``; ``max_size=1`` gives
+    singleton recourse."""
 
     def build(shape):
         nx, nu = shape
         keys = [(f"x{i}", f"u{k}") for i in range(nx) for k in range(nu)]
-        sets = st.lists(near_tie_sets(2, tau), min_size=len(keys), max_size=len(keys))
+        sets = st.lists(near_tie_sets(2, tau, max_size), min_size=len(keys), max_size=len(keys))
         return sets.map(lambda ss: make_instance(
             "near-tie", 2, [f"x{i}" for i in range(nx)], [f"u{k}" for k in range(nu)],
             dict(zip(keys, ss)),

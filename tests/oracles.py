@@ -206,3 +206,102 @@ def tol_front(points, orientation, tau):
             continue
         keep.append(p)
     return keep
+
+
+def _tol_set_leq(A, B, family, strict, lam, tau):
+    """Set relation A <= B under slack tau: per point with componentwise
+    <= (< when strict) for the upper/lower families, on weighted minima for
+    "lmin"."""
+    below = _tol_lt if strict else _tol_leq
+    if family == "lmin":
+        return below(min(dot(lam, a) for a in A), min(dot(lam, b) for b in B), tau)
+
+    def vec_below(a, b):
+        return all(below(a[i], b[i], tau) for i in range(len(a)))
+
+    if family == "u":
+        return all(any(vec_below(a, b) for b in B) for a in A)
+    return all(any(vec_below(a, b) for a in A) for b in B)
+
+
+def _brute_verdict(inst, x, kind, dominates, dominates_all):
+    """(efficient, xprime, scenario_map) from the full dominator table.
+
+    Competitors are taken in lexicographic order and scenarios in document
+    order.  flimsy: efficient iff some scenario has no dominator, else every
+    scenario maps to its first dominator.  highly: efficient iff no scenario
+    has one, else the first dominated scenario and its first dominator.
+    multi-scenario and point-based: efficient iff no competitor dominates
+    over all scenarios at once, else the first such competitor.
+    """
+    others = sorted(d for d in inst.decisions if d != x)
+    if kind in ("multi-scenario", "point-based"):
+        hits = [xp for xp in others if dominates_all(xp)]
+        if not hits:
+            return (True, None, None)
+        scenarios = () if kind == "point-based" else inst.scenarios
+        return (False, hits[0], tuple((u, hits[0]) for u in scenarios))
+    first = {}
+    for u in inst.scenarios:
+        doms = [xp for xp in others if dominates(xp, u)]
+        if doms:
+            first[u] = doms[0]
+    if kind == "flimsy":
+        if len(first) < len(inst.scenarios):
+            return (True, None, None)
+        pairs = tuple((u, first[u]) for u in inst.scenarios)
+        return (False, pairs[0][1], pairs)
+    if not first:
+        return (True, None, None)
+    u = next(u for u in inst.scenarios if u in first)
+    return (False, first[u], ((u, first[u]),))
+
+
+def brute_maro_verdict(inst, x, kind, strictness, family, lam, tau):
+    """Three-stage verdict of ``x`` (kind "flimsy", "highly" or
+    "multi-scenario"; strictness "strict" or "weak") under the set relation
+    ``family`` ("u", "l", "lmin" with weights ``lam``) on the tol_front of
+    every recourse image.  Strict notions decide with the non-strict
+    relation, weak notions with the strict one."""
+    strict = strictness == "weak"
+
+    def dominates(xp, u):
+        return _tol_set_leq(tol_front(inst.recourse[(xp, u)], "min", tau),
+                            tol_front(inst.recourse[(x, u)], "min", tau),
+                            family, strict, lam, tau)
+
+    return _brute_verdict(inst, x, kind, dominates,
+                          lambda xp: all(dominates(xp, u) for u in inst.scenarios))
+
+
+def brute_mro_verdict(inst, x, kind, strictness, tau):
+    """Two-stage verdict of ``x`` on singleton recourse.  strictness
+    "strict" reads <= in every component, "plain" <= and not equal, "weak"
+    < in every component.  multi-scenario: <= in every scenario and, for
+    plain, not equal in some scenario.  point-based: the relation on the
+    per-objective maxima over scenarios."""
+    val = {key: pts[0] for key, pts in inst.recourse.items()}
+
+    def leqq(a, b):
+        return all(_tol_leq(a[i], b[i], tau) for i in range(len(a)))
+
+    def equal(a, b):
+        return all(_tol_eq(a[i], b[i], tau) for i in range(len(a)))
+
+    def rel(a, b):
+        if strictness == "weak":
+            return all(_tol_lt(a[i], b[i], tau) for i in range(len(a)))
+        return leqq(a, b) and (strictness == "strict" or not equal(a, b))
+
+    def worst(d):
+        return tuple(max(val[(d, u)][i] for u in inst.scenarios) for i in range(inst.n))
+
+    def dominates_all(xp):
+        if kind == "point-based":
+            return rel(worst(xp), worst(x))
+        pairs = [(val[(xp, u)], val[(x, u)]) for u in inst.scenarios]
+        return (all(leqq(a, b) for a, b in pairs)
+                and (strictness == "strict" or any(not equal(a, b) for a, b in pairs)))
+
+    return _brute_verdict(inst, x, kind, lambda xp, u: rel(val[(xp, u)], val[(x, u)]),
+                          dominates_all)

@@ -32,6 +32,22 @@ def test_validate_bad_document_names_path(tmp_path, capsys):
     assert "empty recourse set at (x1,u2)" in err
 
 
+@pytest.mark.parametrize("literal, path", [
+    ("9" * 401, "recourse.x1.u1[0]: integer coordinate too large for a float"),
+    ("-" + "9" * 401, "recourse.x1.u1[0]: integer coordinate too large for a float"),
+    ("9" * 5000, "$: not valid JSON (Exceeds the limit"),
+])
+def test_validate_oversized_coordinate_names_path(tmp_path, capsys, literal, path):
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({
+        "name": "big", "n": 1, "decisions": ["x1"], "scenarios": ["u1"],
+        "recourse": {"x1": {"u1": [[0]]}},
+    }).replace("[[0]]", f"[[{literal}]]"))
+    code, out, err = run(capsys, "validate", "--instance", str(doc))
+    assert code == 2 and out == ""
+    assert err.startswith(f"maro: {path}") and "Traceback" not in err
+
+
 def test_validate_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2 and "exactly one" in err
@@ -228,6 +244,13 @@ def test_verify_check_filter_and_bad_id(capsys):
     code, _, err = run(capsys, "verify", "--seed", "1", "--count", "5",
                        "--check", "nope")
     assert code == 2 and "unknown check ids" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_rejects_empty_battery(capsys, count):
+    code, out, err = run(capsys, "verify", "--seed", "1", "--count", count)
+    assert code == 2 and out == ""
+    assert err == f"maro: count must be a positive integer, got {count}\n"
 
 
 def test_compare_json_and_md(capsys):

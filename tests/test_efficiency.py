@@ -1,5 +1,6 @@
 """Three-stage and two-stage efficiency checkers, the nesting set, witnesses."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -9,6 +10,7 @@ from maro import (
     SetRelFamily,
     SetRelSpec,
     Strictness,
+    Tolerance,
     fixture,
     inner_efficient,
     make_instance,
@@ -17,12 +19,20 @@ from maro import (
     set_cmp,
     smaro_set,
 )
+from maro import efficiency
 from maro.efficiency import derived_set_relation
 
-from conftest import instances, singleton_instances
+from conftest import instances, near_tie_instances, singleton_instances
+from oracles import brute_maro_verdict, brute_mro_verdict
 
 LOWER = SetRelSpec(SetRelFamily.LOWER)
 UPPER = SetRelSpec(SetRelFamily.UPPER)
+
+MARO_COMBOS = [(Kind.FLIMSY, Strictness.STRICT), (Kind.FLIMSY, Strictness.WEAK),
+               (Kind.HIGHLY, Strictness.STRICT), (Kind.HIGHLY, Strictness.WEAK),
+               (Kind.MULTI_SCENARIO, Strictness.STRICT)]
+MRO_COMBOS = [(kind, s) for kind in Kind for s in Strictness
+              if (kind, s) != (Kind.MULTI_SCENARIO, Strictness.WEAK)]
 
 SINGLETON = make_instance("solo", 2, ["x"], ["u"], {"x": {"u": [(0, 0)]}})
 
@@ -45,9 +55,7 @@ def test_fig2_right_x1_dominated_by_x2():
 def test_single_decision_is_always_efficient():
     specs = [UPPER, LOWER, SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=(0.5, 0.5))]
     for spec in specs:
-        for kind, s in [(Kind.FLIMSY, Strictness.STRICT), (Kind.FLIMSY, Strictness.WEAK),
-                        (Kind.HIGHLY, Strictness.STRICT), (Kind.HIGHLY, Strictness.WEAK),
-                        (Kind.MULTI_SCENARIO, Strictness.STRICT)]:
+        for kind, s in MARO_COMBOS:
             assert maro_efficient(SINGLETON, "x", kind, s, spec).efficient
 
 
@@ -101,12 +109,8 @@ def test_mro_requires_singleton_recourse():
 
 
 def test_mro_singleton_instance_efficient_everywhere():
-    for kind in Kind:
-        strictnesses = {
-            Kind.MULTI_SCENARIO: (Strictness.STRICT, Strictness.PLAIN),
-        }.get(kind, (Strictness.STRICT, Strictness.PLAIN, Strictness.WEAK))
-        for s in strictnesses:
-            assert mro_efficient(SINGLETON, "x", kind, s).efficient
+    for kind, s in MRO_COMBOS:
+        assert mro_efficient(SINGLETON, "x", kind, s).efficient
 
 
 @given(instances)
@@ -144,9 +148,7 @@ def test_negative_witnesses_replay(inst):
 @given(singleton_instances)
 def test_singleton_recourse_reduces_to_two_stage(inst):
     for x in inst.decisions:
-        for kind, s in [(Kind.FLIMSY, Strictness.STRICT), (Kind.FLIMSY, Strictness.WEAK),
-                        (Kind.HIGHLY, Strictness.STRICT), (Kind.HIGHLY, Strictness.WEAK),
-                        (Kind.MULTI_SCENARIO, Strictness.STRICT)]:
+        for kind, s in MARO_COMBOS:
             two_stage = mro_efficient(inst, x, kind, s).efficient
             for spec in (UPPER, LOWER):
                 assert maro_efficient(inst, x, kind, s, spec).efficient == two_stage
@@ -167,3 +169,53 @@ def test_identical_decisions_break_strict_notions():
         assert not maro_efficient(inst, x, Kind.FLIMSY, Strictness.STRICT, LOWER).efficient
         # the strict set relation is irreflexive, so weak notions survive ties
         assert maro_efficient(inst, x, Kind.FLIMSY, Strictness.WEAK, LOWER).efficient
+
+
+VERDICT_INSTANCES = {
+    "generated": lambda tau: instances,
+    "singleton": lambda tau: singleton_instances,
+    "near-tie": near_tie_instances,
+    "near-tie-singleton": lambda tau: near_tie_instances(tau, max_size=1),
+}
+
+
+def _outcome(v):
+    if v.efficient:
+        return (True, None, None)
+    return (False, v.witness.xprime, v.witness.scenario_map)
+
+
+@pytest.mark.parametrize("tau", (0.0, 1e-9))
+@pytest.mark.parametrize("source", sorted(VERDICT_INSTANCES))
+@given(data=st.data())
+def test_verdicts_and_witnesses_match_oracles(source, tau, data):
+    inst = data.draw(VERDICT_INSTANCES[source](tau))
+    tol = Tolerance(tau)
+    lam = tuple(1.0 / inst.n for _ in range(inst.n))
+    singleton = all(len(pts) == 1 for pts in inst.recourse.values())
+    for x in inst.decisions:
+        for family, w in (("u", None), ("l", None), ("lmin", lam)):
+            spec = SetRelSpec(SetRelFamily(family), lam=w)
+            for kind, s in MARO_COMBOS:
+                assert _outcome(maro_efficient(inst, x, kind, s, spec, tol)) == \
+                    brute_maro_verdict(inst, x, kind.value, s.value, family, w, tau)
+        for kind, s in MRO_COMBOS if singleton else ():
+            assert _outcome(mro_efficient(inst, x, kind, s, tol)) == \
+                brute_mro_verdict(inst, x, kind.value, s.value, tau)
+
+
+def test_mro_decides_without_set_relations(monkeypatch):
+    # the singleton-coherence lemma compares mro_efficient with
+    # maro_efficient, so the two-stage checker must not read set relations
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mro_efficient reached a set relation")
+
+    for name in ("set_cmp", "inner_efficient", "maro_efficient"):
+        monkeypatch.setattr(efficiency, name, forbidden)
+    inst = make_instance("pair", 2, ["a", "b"], ["u", "v"], {
+        "a": {"u": [(1, 2)], "v": [(3, 1)]}, "b": {"u": [(1, 2)], "v": [(2, 1)]},
+    })
+    for kind, s in MRO_COMBOS:
+        mro_efficient(inst, "a", kind, s)
+    v = mro_efficient(inst, "a", Kind.MULTI_SCENARIO, Strictness.PLAIN)
+    assert v.witness == efficiency.Witness("b", (("u", "b"), ("v", "b")))

@@ -149,6 +149,12 @@ def test_battery_check_filter_and_unknown_id():
         run_battery(5, 5, ["nope"])
 
 
+def test_battery_rejects_non_positive_count():
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            run_battery(1, count)
+
+
 def test_mco_note_records_agreement():
     rep = run_battery(17, 25, ["note_weak_flimsy_via_mco"])
     note = rep.reports["note_weak_flimsy_via_mco"]
