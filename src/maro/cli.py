@@ -122,15 +122,24 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     inst, tol = _load(args)
-    strictness = Strictness(args.strictness)
+    # --rel and the strictness flags default to None, so that --mro can tell
+    # an explicit choice it cannot honour from the three-stage defaults
+    strictness = Strictness(args.strictness or "strict")
+    rel_text = "l" if args.rel is None else args.rel
     try:
-        rel = parse_relation(args.rel)
+        rel = parse_relation(rel_text)
     except ValueError as e:
         raise UsageError(str(e)) from None
     kind = Kind(args.kind)
     if args.mro:
-        if isinstance(rel, VecRel):
+        if args.rel is not None:
+            if not isinstance(rel, VecRel):
+                raise UsageError(f"--rel {args.rel}: set relations apply to three-stage "
+                                 f"checks; --mro takes leqq, leq or lt")
             strictness = {r: s for s, r in _VEC_REL.items()}[rel]
+            if args.strictness not in (None, strictness.value):
+                raise UsageError(f"--rel {args.rel} selects {strictness.value} "
+                                 f"strictness, which conflicts with --{args.strictness}")
         verdict = mro_efficient(inst, args.x, kind, strictness, tol)
         relation = strictness.value
     else:
@@ -141,7 +150,7 @@ def _cmd_efficiency(args) -> int:
             raise UsageError("point-based is a two-stage notion; add --mro "
                              "or use solve-pb")
         verdict = maro_efficient(inst, args.x, kind, strictness, rel, tol)
-        relation = args.rel
+        relation = rel_text
     doc = {
         "instance": inst.name,
         "x": args.x,
@@ -412,13 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in Kind])
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--strict", dest="strictness", action="store_const",
-                   const="strict", default="strict")
+    g.add_argument("--strict", dest="strictness", action="store_const", const="strict")
     g.add_argument("--weak", dest="strictness", action="store_const", const="weak")
     g.add_argument("--plain", dest="strictness", action="store_const", const="plain")
-    p.add_argument("--rel", default="l",
+    p.add_argument("--rel",
                    help="relation selector: u[-strict], l[-strict], "
-                        "lmin[-strict]:<csv>, or leqq/leq/lt with --mro")
+                        "lmin[-strict]:<csv> (default l), or leqq/leq/lt with --mro")
     p.add_argument("--mro", action="store_true",
                    help="evaluate the two-stage robust notion (singleton recourse)")
     p.set_defaults(fn=_cmd_efficiency)

@@ -30,7 +30,7 @@ from enum import Enum
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
 from .pareto import FrontSet, Orientation, inner_efficient, nondominated
-from .relations import SetRelSpec, VecRel, _vec_eq, set_cmp, vec_cmp
+from .relations import SetRelFamily, SetRelSpec, VecRel, _set_leq, _vec_eq, vec_cmp
 
 
 class Kind(Enum):
@@ -124,10 +124,14 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
     if kind is Kind.MULTI_SCENARIO and strictness is not Strictness.STRICT:
         raise ValueError("weak multi-scenario efficiency is undefined")
     rel = derived_set_relation(spec, strictness)
+    if rel.family is SetRelFamily.LAMBDA_MIN and len(rel.lam) != inst.n:
+        raise ValueError(f"weight vector has length {len(rel.lam)}, points have {inst.n}")
     mine = {u: inner_efficient(inst, x, u, tol).points for u in inst.scenarios}
 
+    # the cached fronts are non-empty, n-dimensional and finite and the
+    # weight vector was checked above, so the scan skips set_cmp's checks
     def dominates(xp: str, u: str) -> bool:
-        return set_cmp(inner_efficient(inst, xp, u, tol).points, mine[u], rel, tol)
+        return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], rel, tol.tau)
 
     return _decide(inst, x, kind, dominates,
                    lambda xp: all(dominates(xp, u) for u in inst.scenarios))

@@ -30,6 +30,12 @@ class Tolerance:
 
     Infinite operands are compared exactly; the slack applies only between
     finite values.  ``tau`` must be non-negative.
+
+    Each test is one float expression with no finiteness branch: with an
+    infinite operand the difference is infinite, so comparing it with the
+    finite ``tau`` is exact, or NaN, for equal infinities only, which the
+    ``or`` of ``leq`` and ``eq`` accepts.  Between finite values the ``or``
+    adds nothing.
     """
 
     tau: float = 1e-9
@@ -39,22 +45,31 @@ class Tolerance:
             raise ValueError(f"tolerance must be a finite non-negative real, got {self.tau}")
 
     def leq(self, a: float, b: float) -> bool:
-        if math.isinf(a) or math.isinf(b):
-            return a <= b
-        return a - b <= self.tau
+        return a - b <= self.tau or a <= b
 
     def lt(self, a: float, b: float) -> bool:
-        if math.isinf(a) or math.isinf(b):
-            return a < b
         return b - a > self.tau
 
     def eq(self, a: float, b: float) -> bool:
-        if math.isinf(a) or math.isinf(b):
-            return a == b
-        return abs(a - b) <= self.tau
+        return abs(a - b) <= self.tau or a == b
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _below(a: Vec, b: Vec, strict: bool, tau: float) -> bool:
+    """:meth:`Tolerance.lt` (strict) or :meth:`Tolerance.leq` with slack
+    ``tau`` in every coordinate of ``a`` and ``b``, inlined for the
+    relation kernels."""
+    if strict:
+        for ai, bi in zip(a, b):
+            if not bi - ai > tau:
+                return False
+        return True
+    for ai, bi in zip(a, b):
+        if not (ai - bi <= tau or ai <= bi):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -184,6 +199,8 @@ def load_instance(text: str) -> Instance:
         raise InstanceError(f"$: not valid JSON ({e.msg} at line {e.lineno})") from None
     except ValueError as e:  # an integer literal beyond the digit limit of int()
         raise InstanceError(f"$: not valid JSON ({e})") from None
+    except RecursionError:
+        raise InstanceError("$: not valid JSON (nesting too deep)") from None
     _require(isinstance(doc, dict), "$", "document must be a JSON object")
     for key in ("name", "n", "decisions", "scenarios", "recourse"):
         _require(key in doc, key, "missing required field")

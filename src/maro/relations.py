@@ -10,7 +10,11 @@ on top of them:
 
 For finite sets the cone-containment definitions of the upper/lower
 relations reduce exactly to the pointwise exists/forall characterizations
-used here.  All comparisons go through the injected :class:`Tolerance`.
+used here.  Every relation reads one componentwise test, ``_below`` from
+:mod:`.instances`, the inlined rule of the injected :class:`Tolerance`;
+the set relations are one inlined scan, ``_set_leq``, over the points of
+both sets.  The rule compares infinite operands exactly without a
+finiteness branch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .instances import DEFAULT_TOL, Tolerance, Vec
+from .instances import DEFAULT_TOL, Tolerance, Vec, _below
 
 
 class VecRel(Enum):
@@ -98,20 +102,48 @@ def vec_cmp(a: Vec, b: Vec, rel: VecRel, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Compare two objective vectors under the selected relation."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if rel is VecRel.LT:
-        return all(tol.lt(a[i], b[i]) for i in range(len(a)))
-    leqq = all(tol.leq(a[i], b[i]) for i in range(len(a)))
-    if rel is VecRel.LEQQ:
-        return leqq
-    return leqq and not _vec_eq(a, b, tol)
+    below = _below(a, b, rel is VecRel.LT, tol.tau)
+    if rel is VecRel.LEQ:
+        return below and not _vec_eq(a, b, tol)
+    return below
 
 
 def weighted_min(points, lam: Vec) -> float:
     return min(dot(lam, p) for p in points)
 
 
+def _set_leq(A, B, spec: SetRelSpec, tau: float) -> bool:
+    """``A <= B`` under ``spec`` with slack ``tau``, for non-empty sequences
+    of points of one dimension (the weight vector's, for lambda-min)."""
+    strict = spec.strict
+    if spec.family is SetRelFamily.LAMBDA_MIN:
+        return _below((weighted_min(A, spec.lam),), (weighted_min(B, spec.lam),), strict, tau)
+    if spec.family is SetRelFamily.UPPER:
+        # every point of A lies below some point of B
+        for a in A:
+            for b in B:
+                if _below(a, b, strict, tau):
+                    break
+            else:
+                return False
+        return True
+    # every point of B lies above some point of A
+    for b in B:
+        for a in A:
+            if _below(a, b, strict, tau):
+                break
+        else:
+            return False
+    return True
+
+
 def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Compare two non-empty finite point sets under the selected relation."""
+    """Compare two non-empty finite point sets under the selected relation.
+
+    Checks the input, then runs the one inlined scan shared with the
+    efficiency checkers (``_set_leq``); infinite coordinates are compared
+    exactly.
+    """
     A = tuple(A)
     B = tuple(B)
     if not A or not B:
@@ -122,12 +154,7 @@ def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
     if spec.family is SetRelFamily.LAMBDA_MIN:
         if len(spec.lam) not in dims:
             raise ValueError(f"weight vector has length {len(spec.lam)}, points have {dims.pop()}")
-        cmp = tol.lt if spec.strict else tol.leq
-        return cmp(weighted_min(A, spec.lam), weighted_min(B, spec.lam))
-    below = VecRel.LT if spec.strict else VecRel.LEQQ
-    if spec.family is SetRelFamily.UPPER:
-        return all(any(vec_cmp(a, b, below, tol) for b in B) for a in A)
-    return all(any(vec_cmp(a, b, below, tol) for a in A) for b in B)
+    return _set_leq(A, B, spec, tol.tau)
 
 
 def parse_relation(text: str):

@@ -136,6 +136,17 @@ def _tol_eq(a, b, tau):
     return abs(a - b) <= tau
 
 
+def tol_vec_cmp(a, b, rel, tau):
+    """Vector relation "leqq", "leq" or "lt" under slack tau, per coordinate
+    through the Tolerance-mirroring helpers above."""
+    if rel == "lt":
+        return all(_tol_lt(a[i], b[i], tau) for i in range(len(a)))
+    leqq = all(_tol_leq(a[i], b[i], tau) for i in range(len(a)))
+    if rel == "leqq":
+        return leqq
+    return leqq and not all(_tol_eq(a[i], b[i], tau) for i in range(len(a)))
+
+
 def brute_check_ws_bound(inst, x, lam, g, tau):
     """Every scenario has a recourse point with weighted sum <= g within tau."""
     for u in inst.scenarios:

@@ -53,6 +53,7 @@ LOWER = SetRelSpec(SetRelFamily.LOWER)
 # ``--jitter 0.25``).  A change that alters the report on purpose updates these.
 VERIFY_SEED42_SHA256 = "08132da9cdce364db169f0bf3eea4032086a9245956085bd0e6735029bd801a2"
 VERIFY_SEED42_JITTER_SHA256 = "7c355c0a861aee637d5645b74f1ed7ec912c2a29e4b620dd220475f9a523230a"
+VERIFY_SEED42_TOL0_SHA256 = "4fcc279b03fc161d39c0b64bf6c342ecc08eb32380d05f520f53ad87ebc80505"
 
 
 def report(num: int, desc: str, ok: bool):
@@ -229,6 +230,8 @@ def test_c10_cli_verify_byte_determinism(capsys):
     out2 = capsys.readouterr().out
     code3 = main(["verify", "--seed", "42", "--count", "500", "--jitter", "0.25"])
     out3 = capsys.readouterr().out
+    code4 = main(["verify", "--seed", "42", "--count", "500", "--tol", "0"])
+    out4 = capsys.readouterr().out
     report(10, "verify --seed 42 --count 500 exits 0 twice", code1 == code2 == 0)
     report(10, "two runs produce byte-identical reports",
            out1 == out2 and len(out1) > 0)
@@ -236,3 +239,5 @@ def test_c10_cli_verify_byte_determinism(capsys):
            hashlib.sha256(out1.encode()).hexdigest() == VERIFY_SEED42_SHA256)
     report(10, "--jitter 0.25 report bytes match the pinned digest",
            code3 == 0 and hashlib.sha256(out3.encode()).hexdigest() == VERIFY_SEED42_JITTER_SHA256)
+    report(10, "--tol 0 report bytes match the pinned digest",
+           code4 == 0 and hashlib.sha256(out4.encode()).hexdigest() == VERIFY_SEED42_TOL0_SHA256)

@@ -48,6 +48,14 @@ def test_validate_oversized_coordinate_names_path(tmp_path, capsys, literal, pat
     assert err.startswith(f"maro: {path}") and "Traceback" not in err
 
 
+def test_validate_deeply_nested_document(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "validate", "--instance", str(doc))
+    assert code == 2 and out == ""
+    assert err == "maro: $: not valid JSON (nesting too deep)\n"
+
+
 def test_validate_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2 and "exactly one" in err
@@ -133,6 +141,14 @@ def test_efficiency_lambda_min_relation(capsys):
     assert json.loads(out)["efficient"] is True
 
 
+@pytest.mark.parametrize("lam", ["1", "1,1,1"])
+def test_efficiency_weight_length_must_match(capsys, lam):
+    code, out, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
+                         "--kind", "flimsy", "--rel", f"lmin:{lam}")
+    assert (code, out) == (2, "")
+    assert err.startswith("maro: weight vector has length ") and "points have 2" in err
+
+
 def test_efficiency_vector_relation_requires_mro(capsys):
     code, _, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
                        "--kind", "flimsy", "--rel", "leqq")
@@ -144,6 +160,46 @@ def test_efficiency_mro_point_based(capsys):
                        "--kind", "point-based", "--plain", "--mro")
     assert code == 0
     assert json.loads(out)["efficient"] is True
+
+
+def test_efficiency_default_relation_is_lower_strict(capsys):
+    base = ("efficiency", "--fixture", "FIG2R", "--x", "x1", "--kind", "flimsy")
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["relation"] == "l" and doc["strictness"] == "strict"
+    assert run(capsys, *base, "--strict", "--rel", "l") == (0, out, "")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--strict", "--rel", "lmin:1,0"), "--rel lmin:1,0: set relations apply to three-stage"),
+    (("--rel", "l"), "--rel l: set relations apply to three-stage"),
+    (("--weak", "--rel", "leqq"), "--rel leqq selects strict strictness, which conflicts "
+                                  "with --weak"),
+    (("--strict", "--rel", "lt"), "--rel lt selects weak strictness, which conflicts "
+                                  "with --strict"),
+    (("--plain", "--rel", "leqq"), "--rel leqq selects strict strictness"),
+])
+def test_efficiency_mro_rejects_conflicting_relation(capsys, flags, message):
+    code, out, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
+                         "--kind", "flimsy", "--mro", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith(f"maro: {message}")
+
+
+@pytest.mark.parametrize("flags, strictness", [
+    ((), "strict"),
+    (("--weak",), "weak"),
+    (("--rel", "leq"), "plain"),
+    (("--weak", "--rel", "lt"), "weak"),
+    (("--plain", "--rel", "leq"), "plain"),
+])
+def test_efficiency_mro_reports_agreeing_strictness(capsys, flags, strictness):
+    code, out, _ = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
+                       "--kind", "flimsy", "--mro", *flags)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["strictness"] == doc["relation"] == strictness
 
 
 def test_efficiency_mro_rejects_multipoint_recourse(capsys):

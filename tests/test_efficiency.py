@@ -71,6 +71,12 @@ def test_unsupported_combinations_rejected():
         maro_efficient(inst, "x9", Kind.FLIMSY, Strictness.STRICT, LOWER)
     with pytest.raises(ValueError, match="weak multi-scenario"):
         mro_efficient(fixture("FIG2R"), "x1", Kind.MULTI_SCENARIO, Strictness.WEAK)
+    for lam in ((1.0,), (1.0, 1.0, 1.0)):
+        spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam)
+        for target in (inst, SINGLETON):
+            x = target.decisions[0]
+            with pytest.raises(ValueError, match=f"weight vector has length {len(lam)}"):
+                maro_efficient(target, x, Kind.FLIMSY, Strictness.STRICT, spec)
 
 
 def test_fig2_left_smaro_keeps_only_x2():
@@ -210,7 +216,8 @@ def test_mro_decides_without_set_relations(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("mro_efficient reached a set relation")
 
-    for name in ("set_cmp", "inner_efficient", "maro_efficient"):
+    # maro_efficient compares fronts with the set-relation kernel directly
+    for name in ("_set_leq", "inner_efficient", "maro_efficient"):
         monkeypatch.setattr(efficiency, name, forbidden)
     inst = make_instance("pair", 2, ["a", "b"], ["u", "v"], {
         "a": {"u": [(1, 2)], "v": [(3, 1)]}, "b": {"u": [(1, 2)], "v": [(2, 1)]},

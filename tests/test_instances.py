@@ -21,6 +21,7 @@ from maro import (
 )
 
 from conftest import instances
+from oracles import _tol_eq, _tol_leq, _tol_lt
 
 FIG2L_DOC = """
 {
@@ -169,6 +170,21 @@ def test_tolerance_policy():
         Tolerance(-1e-9)
     with pytest.raises(ValueError):
         Tolerance(math.inf)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
+def test_tolerance_matches_finiteness_branch_oracle(tau):
+    # the branch-free expressions against the rule written with an explicit
+    # finite/non-finite branch, on near ties, infinities and NaN
+    inf, nan = math.inf, math.nan
+    values = [0.0, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 5e-10, 1.5, 0.5, -1.0,
+              1e12, 1e308, -1e308, 5e-324, inf, -inf, nan]
+    tol = Tolerance(tau)
+    for a in values:
+        for b in values:
+            assert tol.leq(a, b) == _tol_leq(a, b, tau), (a, b)
+            assert tol.lt(a, b) == _tol_lt(a, b, tau), (a, b)
+            assert tol.eq(a, b) == _tol_eq(a, b, tau), (a, b)
 
 
 def test_instance_requires_nonempty_axes():

@@ -17,8 +17,8 @@ from maro import (
     vec_cmp,
 )
 
-from conftest import int_vecs, point_sets, weights
-from oracles import brute_set_leq
+from conftest import int_vecs, near_tie_sets, point_sets, weights
+from oracles import _tol_set_leq, brute_set_leq, tol_vec_cmp
 
 U = SetRelSpec(SetRelFamily.UPPER)
 US = SetRelSpec(SetRelFamily.UPPER, strict=True)
@@ -139,6 +139,59 @@ def test_set_cmp_matches_bruteforce_at_zero_tolerance(family, strict, A, B):
         spec = SetRelSpec(SetRelFamily(family), strict=strict)
     got = set_cmp(A, B, spec, Tolerance(0.0))
     assert got == brute_set_leq(A, B, family, strict, lam)
+
+
+def inf_tie_sets(n, tau):
+    """``near_tie_sets`` with about one coordinate in four replaced by +-inf."""
+    swap = st.sampled_from((None, None, None, math.inf, -math.inf))
+
+    def replace(pts):
+        masks = st.lists(st.tuples(*[swap] * n), min_size=len(pts), max_size=len(pts))
+        return masks.map(lambda ms: [tuple(c if s is None else s for c, s in zip(p, m))
+                                     for p, m in zip(pts, ms)])
+
+    return near_tie_sets(n, tau, max_size=4).flatmap(replace)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
+@given(data=st.data())
+def test_relations_match_tolerance_oracle(tau, n, data):
+    # the inlined kernel against per-coordinate Tolerance semantics, on
+    # near ties at the slack boundary and on infinite coordinates
+    A = data.draw(inf_tie_sets(n, tau), label="A")
+    B = data.draw(inf_tie_sets(n, tau), label="B")
+    lam = data.draw(weights(n), label="lam")
+    tol = Tolerance(tau)
+    for strict in (False, True):
+        for family in ("u", "l", "lmin"):
+            spec = (lmin(lam, strict) if family == "lmin"
+                    else SetRelSpec(SetRelFamily(family), strict=strict))
+            assert set_cmp(A, B, spec, tol) == _tol_set_leq(A, B, family, strict, lam, tau)
+    for a in A:
+        for b in B:
+            for rel in VecRel:
+                assert vec_cmp(a, b, rel, tol) == tol_vec_cmp(a, b, rel.value, tau)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9])
+def test_relations_exact_on_infinities(tau):
+    tol = Tolerance(tau)
+    inf = math.inf
+    # equal infinite coordinates are <= but not <
+    assert set_cmp({(inf, 1.0)}, {(inf, 1.0)}, U, tol)
+    assert not set_cmp({(inf, 1.0)}, {(inf, 1.0)}, US, tol)
+    assert vec_cmp((-inf, 0.0), (-inf, 0.0), VecRel.LEQQ, tol)
+    assert not vec_cmp((-inf, 0.0), (-inf, 0.0), VecRel.LEQ, tol)
+    assert not vec_cmp((-inf, 0.0), (-inf, 0.0), VecRel.LT, tol)
+    assert set_cmp({(-inf, 0.0)}, {(-inf, 0.0)}, L, tol)
+    assert not set_cmp({(-inf, 0.0)}, {(-inf, 0.0)}, LS, tol)
+    assert vec_cmp((-inf, 0.0), (1.0, 1.0), VecRel.LT, tol)
+    assert not vec_cmp((1.0, inf), (2.0, inf), VecRel.LT, tol)
+    # both weighted minima are inf
+    A, B = {(inf, 1.0), (2.0, inf)}, {(inf, 0.0)}
+    assert set_cmp(A, B, lmin((0.5, 0.5)), tol)
+    assert not set_cmp(A, B, lmin((0.5, 0.5), True), tol)
 
 
 def test_parse_relation():
