@@ -25,7 +25,7 @@ membership in it is not a trustworthy efficiency notion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
@@ -72,7 +72,7 @@ _EFFICIENT = Verdict(True, None)
 def derived_set_relation(spec: SetRelSpec, strictness: Strictness) -> SetRelSpec:
     """Strictness of the deciding set relation is derived from the notion:
     strict notions use the non-strict relation, weak notions the strict one."""
-    return replace(spec, strict=(strictness is Strictness.WEAK))
+    return spec.with_strict(strictness is Strictness.WEAK)
 
 
 def _check_decision(inst: Instance, x: str):

@@ -123,10 +123,10 @@ _BUILDERS = {
     "FIG6R": _fig6r,
 }
 
-# Frozen separation witnesses, found by the oracle sweep in
-# scripts/fig6_witness_sweep.py.  For FIG6L decision x1 is constraint
-# efficient for (eps, j) but not weighted-sum efficient for lambda; for
-# FIG6R it is the other way around.
+# Frozen separation witnesses, found by a sweep over weights and bounds that
+# tests/test_verify.py re-derives on a small grid.  For FIG6L decision x1
+# is constraint efficient for (eps, j) but not weighted-sum efficient for
+# lambda; for FIG6R it is the other way around.
 FIXTURE_META: dict[str, dict] = {
     "FIG2L": {"sampled": False},
     "FIG2R": {"sampled": False},

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .efficiency import Strictness
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec
-from .relations import Weight, dot
+from .relations import Weight, dot, weighted_min
 from .scalarize import (
     GenBound,
     _front,
@@ -88,10 +88,7 @@ def image_ws(inst: Instance, lam: Weight, tol: Tolerance = DEFAULT_TOL) -> tuple
     sel = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
     out: set[Vec] = set()
     for x, g in sel.entries:
-        per_u = {
-            u: min(dot(lam.values, p) for p in _front(inst, x, u))
-            for u in inst.scenarios
-        }
+        per_u = {u: weighted_min(_front(inst, x, u), lam.values) for u in inst.scenarios}
         for u, m in per_u.items():
             if not tol.eq(m, g.value):
                 continue
@@ -191,7 +188,7 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
         pts: set[Vec] = set()
         for x, g in sel.entries:
             for u in inst.scenarios:
-                m = min(dot(w.values, p) for p in _front(inst, x, u))
+                m = weighted_min(_front(inst, x, u), w.values)
                 if m < g.value - tie:
                     continue
                 for p in inst.points(x, u):

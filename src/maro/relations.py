@@ -20,7 +20,7 @@ finiteness branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .instances import DEFAULT_TOL, Tolerance, Vec, _below
@@ -68,6 +68,15 @@ class SetRelSpec:
         elif self.lam is not None:
             raise ValueError(f"{self.family.value}: weight vector only applies to lambda-min")
 
+    def with_strict(self, strict: bool) -> "SetRelSpec":
+        """This relation with the given strictness; the other variant is
+        built on first use and kept, so deriving it again costs nothing."""
+        if strict == self.strict:
+            return self
+        if "_twin" not in self.__dict__:
+            object.__setattr__(self, "_twin", replace(self, strict=strict))
+        return self._twin
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -109,6 +118,13 @@ def vec_cmp(a: Vec, b: Vec, rel: VecRel, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def weighted_min(points, lam: Vec) -> float:
+    """Least weighted sum over a non-empty sequence of points of the weight
+    vector's dimension.  For two objectives ``dot`` is unrolled in its own
+    summation order, ``(0.0 + l0 * p0) + l1 * p1``, so each sum is the same
+    float, without a call per point."""
+    if len(lam) == 2:
+        l0, l1 = lam
+        return min(0.0 + l0 * p0 + l1 * p1 for p0, p1 in points)
     return min(dot(lam, p) for p in points)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .efficiency import _VEC_REL, Strictness
 from .instances import DEFAULT_TOL, INF, Instance, InstanceError, Tolerance, Vec
 from .pareto import Orientation, ideal, inner_efficient
-from .relations import VecRel, Weight, dot, vec_cmp
+from .relations import VecRel, Weight, vec_cmp, weighted_min
 
 _EXACT = Tolerance(0.0)
 
@@ -77,7 +77,8 @@ class Selection:
 
     ``strict_empty_tie`` marks a strict selection emptied by ties, in which
     case ``plain_guarantee`` reports the minimizer-set guarantee instead;
-    ``infeasible`` marks a constraint selection where every decision is +inf.
+    ``infeasible`` marks a selection where every value is +inf, as in a
+    constraint selection where no decision can meet the caps.
     """
 
     entries: tuple[tuple[str, Guarantee], ...]
@@ -96,7 +97,7 @@ def f_lambda(inst: Instance, x: str, lam: Weight) -> float:
         raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
     if x not in inst.decisions:
         raise InstanceError(f"unknown decision {x!r}")
-    return max(min(dot(lam.values, p) for p in _front(inst, x, u)) for u in inst.scenarios)
+    return max(weighted_min(_front(inst, x, u), lam.values) for u in inst.scenarios)
 
 
 def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -131,8 +132,10 @@ def f_pb(inst: Instance, x: str) -> Vec:
     )
 
 
-def _select_minimizers(inst: Instance, values: dict[str, float],
-                       strictness: Strictness, tol: Tolerance):
+def _selection(inst: Instance, values: dict[str, float], strictness: Strictness,
+               tol: Tolerance, concept: str, **params) -> Selection:
+    """The minimizers of ``values`` (plain) or the unique one (strict), each
+    with its guarantee of ``concept`` and its parameters."""
     if strictness is Strictness.WEAK:
         raise ValueError("scalar concepts come in strict/plain variants only")
     beats = tol.leq if strictness is Strictness.STRICT else tol.lt
@@ -141,35 +144,26 @@ def _select_minimizers(inst: Instance, values: dict[str, float],
         if not any(beats(values[xp], values[x]) for xp in inst.decisions if xp != x)
     )
     strict_empty = strictness is Strictness.STRICT and not selected
-    plain_guarantee = min(values.values()) if strict_empty else None
-    return selected, strict_empty, plain_guarantee
+    return Selection(
+        tuple((x, Guarantee(values[x], concept, **params)) for x in selected),
+        strict_empty_tie=strict_empty,
+        plain_guarantee=min(values.values()) if strict_empty else None,
+        infeasible=all(v == INF for v in values.values()),
+    )
 
 
 def ws_efficient_set(inst: Instance, lam: Weight,
                      strictness: Strictness = Strictness.PLAIN,
                      tol: Tolerance = DEFAULT_TOL) -> Selection:
     values = {x: f_lambda(inst, x, lam) for x in inst.decisions}
-    selected, strict_empty, plain_g = _select_minimizers(inst, values, strictness, tol)
-    entries = tuple(
-        (x, Guarantee(values[x], "ws", lam=lam.values)) for x in selected
-    )
-    return Selection(entries, strict_empty_tie=strict_empty, plain_guarantee=plain_g)
+    return _selection(inst, values, strictness, tol, "ws", lam=lam.values)
 
 
 def eps_efficient_set(inst: Instance, gb: GenBound,
                       strictness: Strictness = Strictness.PLAIN,
                       tol: Tolerance = DEFAULT_TOL) -> Selection:
     values = {x: f_eps_j(inst, x, gb, tol) for x in inst.decisions}
-    selected, strict_empty, plain_g = _select_minimizers(inst, values, strictness, tol)
-    entries = tuple(
-        (x, Guarantee(values[x], "eps", eps=gb.eps, j=gb.j)) for x in selected
-    )
-    return Selection(
-        entries,
-        strict_empty_tie=strict_empty,
-        plain_guarantee=plain_g,
-        infeasible=all(v == INF for v in values.values()),
-    )
+    return _selection(inst, values, strictness, tol, "eps", eps=gb.eps, j=gb.j)
 
 
 def pb_efficient_set(inst: Instance, strictness: Strictness = Strictness.PLAIN,
@@ -191,12 +185,11 @@ def _gval(g) -> float:
 def check_ws_bound(inst: Instance, x: str, lam: Weight, g,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every scenario admits a recourse point with weighted sum within the
-    guarantee."""
+    guarantee: ``Tolerance.leq`` is monotone in its first argument, so it
+    suffices to test the minimum."""
     gv = _gval(g)
-    return all(
-        any(tol.leq(dot(lam.values, p), gv) for p in _front(inst, x, u))
-        for u in inst.scenarios
-    )
+    return all(tol.leq(weighted_min(_front(inst, x, u), lam.values), gv)
+               for u in inst.scenarios)
 
 
 def check_eps_bound(inst: Instance, x: str, gb: GenBound, g,

@@ -26,6 +26,8 @@ from .pareto import Orientation, inner_efficient, nondominated
 from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp, vec_cmp
 from .scalarize import (
     GenBound,
+    Selection,
+    _selection,
     check_eps_bound,
     check_ws_bound,
     eps_efficient_set,
@@ -137,67 +139,6 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{c:.17g}" for c in v) + ")"
 
 
-def check_thm_ws_implies_ms(inst: Instance, lam: Weight,
-                            tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Strict weighted-sum efficiency forces strict multi-scenario efficiency
-    under the matching weighted-minimum set relation."""
-    rep = CheckReport("thm_ws_implies_ms", instances=1, cases=1)
-    sel = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
-    if sel.entries:
-        rep.non_vacuous = 1
-    spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam.values)
-    for x, g in sel.entries:
-        v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec, tol)
-        if not v.efficient:
-            rep.fail(inst, f"x={x} strictly ws-efficient for lam={_fmt_vec(lam.values)} "
-                           f"(value {g.value:.17g}) but multi-scenario dominated by "
-                           f"{v.witness.xprime}")
-    return rep
-
-
-def check_thm_eps_switch(inst: Instance, gb: GenBound,
-                         tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """A strict constraint-efficient decision stays strict when the bound
-    slot it minimized is fixed to its guarantee and any other objective is
-    minimized instead."""
-    rep = CheckReport("thm_eps_switch", instances=1, cases=1)
-    sel = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
-    for x, g in sel.entries:
-        if g.value == INF:
-            continue
-        rep.non_vacuous = 1
-        eps2 = tuple(
-            g.value if i == gb.j - 1 else gb.eps[i] for i in range(inst.n)
-        )
-        for j2 in range(1, inst.n + 1):
-            sel2 = eps_efficient_set(inst, GenBound(eps2, j2), Strictness.STRICT, tol)
-            if x not in sel2.decisions:
-                rep.fail(
-                    inst,
-                    f"x={x} strict for eps={_fmt_vec(gb.eps)} j={gb.j} "
-                    f"(guarantee {g.value:.17g}) but not strict for "
-                    f"eps'={_fmt_vec(eps2)} j={j2}; got {sel2.decisions}"
-                )
-    return rep
-
-
-def check_thm_eps_implies_ms_lower(inst: Instance, gb: GenBound,
-                                   tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Strict constraint efficiency forces strict multi-scenario efficiency
-    under the lower set relation."""
-    rep = CheckReport("thm_eps_implies_ms_lower", instances=1, cases=1)
-    sel = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
-    if sel.entries:
-        rep.non_vacuous = 1
-    spec = SetRelSpec(SetRelFamily.LOWER)
-    for x, g in sel.entries:
-        v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec, tol)
-        if not v.efficient:
-            rep.fail(inst, f"x={x} strictly eps-efficient for eps={_fmt_vec(gb.eps)} "
-                           f"j={gb.j} but multi-scenario dominated by {v.witness.xprime}")
-    return rep
-
-
 def single_scenario_efficient(inst: Instance, x: str, spec: SetRelSpec,
                               tol: Tolerance = DEFAULT_TOL) -> bool:
     """Direct reimplementation of the one-scenario set-optimization notion:
@@ -227,6 +168,15 @@ _CHAIN = (
     (Kind.MULTI_SCENARIO, Strictness.STRICT),
 )
 
+# (label, premise, conclusion), the notions as indices into _CHAIN
+_IMPLICATIONS = (
+    ("strict flimsy -> weak flimsy", 0, 1),
+    ("strict highly -> weak highly", 2, 3),
+    ("strict highly -> strict flimsy", 2, 0),
+    ("weak highly -> weak flimsy", 3, 1),
+    ("strict highly -> strict multi-scenario", 2, 4),
+)
+
 
 def _replay(inst: Instance, x: str, verdict: Verdict, spec: SetRelSpec,
             strictness: Strictness, tol: Tolerance) -> bool:
@@ -238,152 +188,250 @@ def _replay(inst: Instance, x: str, verdict: Verdict, spec: SetRelSpec,
     )
 
 
-def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
-                             eps_list: list[Vec] | None = None,
-                             tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
-    """Per-instance battery of the remaining proved statements and recorded
-    observations; see the check ids for what each piece covers."""
-    reps = {cid: CheckReport(cid, instances=1) for cid in (
-        "lemma_eps_image_weakly_nondominated",
-        "lemma_pb_image_nondominated",
-        "remark_efficiency_implication_chain",
-        "remark_ws_bound",
-        "remark_eps_bound",
-        "remark_pb_sandwich",
-        "lemma_singleton_recourse_coherence",
-        "remark_single_scenario_coherence",
-        "front_reduction_invariance",
-        "unit_weight_reduces_to_pb",
-        "eps_value_monotone",
-        "witness_replay",
-        "note_weak_flimsy_via_mco",
-    )}
+def _memoized(method):
+    """Keep a context method's result per argument tuple."""
+    def wrapper(ctx, *args):
+        key = (method, *args)
+        hit = ctx._cache.get(key)
+        if hit is None:
+            hit = ctx._cache[key] = method(ctx, *args)
+        return hit
+    return wrapper
 
-    # constraint images are weakly nondominated (feasible entries only)
-    if eps_list:
-        for j in range(1, inst.n + 1):
-            reps["lemma_eps_image_weakly_nondominated"].cases += 1
-            img = image_eps_grid(inst, BoundGrid(j, tuple(eps_list)), tol)
-            for p in img.points:
-                if any(q != p and vec_cmp(q, p, VecRel.LT, tol) for q in img.points):
-                    reps["lemma_eps_image_weakly_nondominated"].fail(
-                        inst, f"j={j}: image point {_fmt_vec(p)} strictly dominated"
-                    )
 
-    # point-based image points never dominate one another
-    reps["lemma_pb_image_nondominated"].cases += 1
+class _Context:
+    """One instance, its battery parameters, and what the checks share,
+    each computed when first asked for.  The independent references
+    (``mro_efficient``, ``single_scenario_efficient``, witness replay and
+    the front-reduced instance) are never read from here, so the coherence
+    checks still compare two separate deciders.  A context serves one
+    instance only."""
+
+    def __init__(self, inst: Instance, tol: Tolerance, lams: list[Weight] = (),
+                 gb: GenBound | None = None, eps_list: list[Vec] | None = None):
+        self.inst = inst
+        self.tol = tol
+        self.lams = lams
+        self.gb = gb
+        self.eps_list = eps_list
+        self.specs = _family_specs(inst.n)
+        self._cache: dict = {}
+
+    @_memoized
+    def verdict(self, x: str, kind: Kind, s: Strictness, spec: SetRelSpec) -> Verdict:
+        return maro_efficient(self.inst, x, kind, s, spec, self.tol)
+
+    @_memoized
+    def f_lambda(self, x: str, lam: Weight) -> float:
+        return f_lambda(self.inst, x, lam)
+
+    @_memoized
+    def f_eps(self, x: str, gb: GenBound) -> float:
+        return f_eps_j(self.inst, x, gb, self.tol)
+
+    @_memoized
+    def f_pb(self, x: str) -> Vec:
+        return f_pb(self.inst, x)
+
+    @_memoized
+    def ws_set(self, lam: Weight, s: Strictness) -> Selection:
+        values = {x: self.f_lambda(x, lam) for x in self.inst.decisions}
+        return _selection(self.inst, values, s, self.tol, "ws", lam=lam.values)
+
+    @_memoized
+    def eps_set(self, gb: GenBound, s: Strictness) -> Selection:
+        values = {x: self.f_eps(x, gb) for x in self.inst.decisions}
+        return _selection(self.inst, values, s, self.tol, "eps", eps=gb.eps, j=gb.j)
+
+
+# check id -> function(context, report) filling that instance's report, in
+# the order of ALL_CHECKS
+_CHECKS: dict = {}
+
+
+def _check(cid: str):
+    def register(fn):
+        _CHECKS[cid] = fn
+        return fn
+    return register
+
+
+@_check("thm_ws_implies_ms")
+def _thm_ws_implies_ms(ctx: _Context, rep: CheckReport):
+    """Strict weighted-sum efficiency forces strict multi-scenario efficiency
+    under the matching weighted-minimum set relation.  The theorem is stated
+    per weight vector, so each one counts as an instance and a case."""
+    inst = ctx.inst
+    rep.instances = rep.cases = len(ctx.lams)
+    for lam in ctx.lams:
+        sel = ctx.ws_set(lam, Strictness.STRICT)
+        if sel.entries:
+            rep.non_vacuous += 1
+        spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam.values)
+        for x, g in sel.entries:
+            v = ctx.verdict(x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec)
+            if not v.efficient:
+                rep.fail(inst, f"x={x} strictly ws-efficient for lam={_fmt_vec(lam.values)} "
+                               f"(value {g.value:.17g}) but multi-scenario dominated by "
+                               f"{v.witness.xprime}")
+
+
+@_check("thm_eps_switch")
+def _thm_eps_switch(ctx: _Context, rep: CheckReport):
+    """A strict constraint-efficient decision stays strict when the bound
+    slot it minimized is fixed to its guarantee and any other objective is
+    minimized instead."""
+    inst, gb = ctx.inst, ctx.gb
+    rep.cases = 1
+    for x, g in ctx.eps_set(gb, Strictness.STRICT).entries:
+        if g.value == INF:
+            continue
+        rep.non_vacuous = 1
+        eps2 = tuple(
+            g.value if i == gb.j - 1 else gb.eps[i] for i in range(inst.n)
+        )
+        for j2 in range(1, inst.n + 1):
+            sel2 = ctx.eps_set(GenBound(eps2, j2), Strictness.STRICT)
+            if x not in sel2.decisions:
+                rep.fail(
+                    inst,
+                    f"x={x} strict for eps={_fmt_vec(gb.eps)} j={gb.j} "
+                    f"(guarantee {g.value:.17g}) but not strict for "
+                    f"eps'={_fmt_vec(eps2)} j={j2}; got {sel2.decisions}"
+                )
+
+
+@_check("thm_eps_implies_ms_lower")
+def _thm_eps_implies_ms_lower(ctx: _Context, rep: CheckReport):
+    """Strict constraint efficiency forces strict multi-scenario efficiency
+    under the lower set relation."""
+    inst, gb = ctx.inst, ctx.gb
+    rep.cases = 1
+    sel = ctx.eps_set(gb, Strictness.STRICT)
+    if sel.entries:
+        rep.non_vacuous = 1
+    for x, g in sel.entries:
+        v = ctx.verdict(x, Kind.MULTI_SCENARIO, Strictness.STRICT, ctx.specs[1])
+        if not v.efficient:
+            rep.fail(inst, f"x={x} strictly eps-efficient for eps={_fmt_vec(gb.eps)} "
+                           f"j={gb.j} but multi-scenario dominated by {v.witness.xprime}")
+
+
+@_check("lemma_eps_image_weakly_nondominated")
+def _eps_image_weakly_nondominated(ctx: _Context, rep: CheckReport):
+    """Constraint images are weakly nondominated (feasible entries only)."""
+    inst, tol = ctx.inst, ctx.tol
+    if not ctx.eps_list:
+        return
+    for j in range(1, inst.n + 1):
+        rep.cases += 1
+        img = image_eps_grid(inst, BoundGrid(j, tuple(ctx.eps_list)), tol)
+        for p in img.points:
+            if any(q != p and vec_cmp(q, p, VecRel.LT, tol) for q in img.points):
+                rep.fail(inst, f"j={j}: image point {_fmt_vec(p)} strictly dominated")
+
+
+@_check("lemma_pb_image_nondominated")
+def _pb_image_nondominated(ctx: _Context, rep: CheckReport):
+    """Point-based image points never dominate one another."""
+    inst, tol = ctx.inst, ctx.tol
+    rep.cases = 1
     pb_img = image_pb(inst, tol)
     for p in pb_img:
         if any(q != p and vec_cmp(q, p, VecRel.LEQ, tol) for q in pb_img):
-            reps["lemma_pb_image_nondominated"].fail(
-                inst, f"image point {_fmt_vec(p)} dominated"
-            )
+            rep.fail(inst, f"image point {_fmt_vec(p)} dominated")
 
-    # implication chain between the efficiency notions, plus witness replay
-    chain_rep = reps["remark_efficiency_implication_chain"]
-    verdicts: dict[tuple[int, str, Kind, Strictness], Verdict] = {}
-    specs = _family_specs(inst.n)
-    for si, spec in enumerate(specs):
-        for x in inst.decisions:
-            chain_rep.cases += 1
-            v = {
-                (kind, s): maro_efficient(inst, x, kind, s, spec, tol)
-                for kind, s in _CHAIN
-            }
-            for key, verdict in v.items():
-                verdicts[(si, x, *key)] = verdict
-            implications = (
-                ("strict flimsy -> weak flimsy",
-                 v[(Kind.FLIMSY, Strictness.STRICT)], v[(Kind.FLIMSY, Strictness.WEAK)]),
-                ("strict highly -> weak highly",
-                 v[(Kind.HIGHLY, Strictness.STRICT)], v[(Kind.HIGHLY, Strictness.WEAK)]),
-                ("strict highly -> strict flimsy",
-                 v[(Kind.HIGHLY, Strictness.STRICT)], v[(Kind.FLIMSY, Strictness.STRICT)]),
-                ("weak highly -> weak flimsy",
-                 v[(Kind.HIGHLY, Strictness.WEAK)], v[(Kind.FLIMSY, Strictness.WEAK)]),
-                ("strict highly -> strict multi-scenario",
-                 v[(Kind.HIGHLY, Strictness.STRICT)],
-                 v[(Kind.MULTI_SCENARIO, Strictness.STRICT)]),
-            )
-            for label, pre, post in implications:
-                if pre.efficient and not post.efficient:
-                    chain_rep.fail(inst, f"{label} broken for x={x}, "
-                                         f"family={spec.family.value}")
 
-    replay_rep = reps["witness_replay"]
-    for (si, x, kind, s), verdict in verdicts.items():
-        if verdict.efficient:
-            continue
-        replay_rep.cases += 1
-        w = verdict.witness
-        if kind is Kind.FLIMSY and len(w.scenario_map) != len(inst.scenarios):
-            replay_rep.fail(inst, f"flimsy witness for x={x} misses scenarios")
-        elif not _replay(inst, x, verdict, specs[si], s, tol):
-            replay_rep.fail(inst, f"witness ({w.xprime}) for x={x} "
-                                  f"kind={kind.value} does not replay")
+@_check("remark_efficiency_implication_chain")
+def _implication_chain(ctx: _Context, rep: CheckReport):
+    """Implications between the efficiency notions, per decision and family."""
+    for spec in ctx.specs:
+        for x in ctx.inst.decisions:
+            rep.cases += 1
+            v = [ctx.verdict(x, kind, s, spec).efficient for kind, s in _CHAIN]
+            for label, pre, post in _IMPLICATIONS:
+                if v[pre] and not v[post]:
+                    rep.fail(ctx.inst, f"{label} broken for x={x}, "
+                                       f"family={spec.family.value}")
 
-    # guarantees really bound every scenario
-    for lam in lams:
-        sel = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
-        for x, g in sel.entries:
-            reps["remark_ws_bound"].cases += 1
-            if not check_ws_bound(inst, x, lam, g, tol):
-                reps["remark_ws_bound"].fail(
-                    inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g.value:.17g}"
-                )
-    sel = eps_efficient_set(inst, gb, Strictness.PLAIN, tol)
-    for x, g in sel.entries:
+
+@_check("remark_ws_bound")
+def _ws_bound(ctx: _Context, rep: CheckReport):
+    """Weighted-sum guarantees really bound every scenario."""
+    for lam in ctx.lams:
+        for x, g in ctx.ws_set(lam, Strictness.PLAIN).entries:
+            rep.cases += 1
+            if not check_ws_bound(ctx.inst, x, lam, g, ctx.tol):
+                rep.fail(ctx.inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g.value:.17g}")
+
+
+@_check("remark_eps_bound")
+def _eps_bound(ctx: _Context, rep: CheckReport):
+    """Finite constraint guarantees really bound every scenario."""
+    gb = ctx.gb
+    for x, g in ctx.eps_set(gb, Strictness.PLAIN).entries:
         if g.value == INF:
             continue
-        reps["remark_eps_bound"].cases += 1
-        if not check_eps_bound(inst, x, gb, g, tol):
-            reps["remark_eps_bound"].fail(
-                inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g.value:.17g}"
-            )
+        rep.cases += 1
+        if not check_eps_bound(ctx.inst, x, gb, g, ctx.tol):
+            rep.fail(ctx.inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g.value:.17g}")
 
-    # ideal-point sandwich around the point-based value
-    for x in inst.decisions:
-        reps["remark_pb_sandwich"].cases += 1
-        lo, hi, holds = pb_trivial_bounds(inst, x, tol)
+
+@_check("remark_pb_sandwich")
+def _pb_sandwich(ctx: _Context, rep: CheckReport):
+    """Ideal-point sandwich around the point-based value."""
+    for x in ctx.inst.decisions:
+        rep.cases += 1
+        lo, hi, holds = pb_trivial_bounds(ctx.inst, x, ctx.tol)
         if not holds:
-            reps["remark_pb_sandwich"].fail(
-                inst, f"x={x}: {_fmt_vec(lo)} !<= {_fmt_vec(f_pb(inst, x))} "
-                      f"!<= {_fmt_vec(hi)}"
-            )
+            rep.fail(ctx.inst, f"x={x}: {_fmt_vec(lo)} !<= {_fmt_vec(ctx.f_pb(x))} "
+                               f"!<= {_fmt_vec(hi)}")
 
-    # singleton recourse collapses the three-stage notions to the two-stage
-    # ones (upper/lower families); the weighted-minimum family implies them
-    if all(len(pts) == 1 for pts in inst.recourse.values()):
-        rep = reps["lemma_singleton_recourse_coherence"]
+
+@_check("lemma_singleton_recourse_coherence")
+def _singleton_recourse_coherence(ctx: _Context, rep: CheckReport):
+    """Singleton recourse collapses the three-stage notions to the two-stage
+    ones (upper/lower families); the weighted-minimum family implies them."""
+    inst = ctx.inst
+    if not all(len(pts) == 1 for pts in inst.recourse.values()):
+        return
+    for x in inst.decisions:
+        rep.cases += 1
+        for kind, s in _CHAIN:
+            mro = mro_efficient(inst, x, kind, s, ctx.tol).efficient
+            for spec in ctx.specs[:2]:
+                maro = ctx.verdict(x, kind, s, spec).efficient
+                if maro != mro:
+                    rep.fail(inst, f"x={x} {kind.value}/{s.value}: two-stage "
+                                   f"{mro} vs three-stage[{spec.family.value}] {maro}")
+            if ctx.verdict(x, kind, s, ctx.specs[2]).efficient and not mro:
+                rep.fail(inst, f"x={x} {kind.value}/{s.value}: weighted-minimum "
+                               f"efficiency without two-stage efficiency")
+
+
+@_check("remark_single_scenario_coherence")
+def _single_scenario_coherence(ctx: _Context, rep: CheckReport):
+    """One scenario collapses every notion to one set comparison."""
+    inst = ctx.inst
+    if len(inst.scenarios) != 1:
+        return
+    for spec in ctx.specs:
         for x in inst.decisions:
             rep.cases += 1
             for kind, s in _CHAIN:
-                mro = mro_efficient(inst, x, kind, s, tol).efficient
-                for spec in specs[:2]:
-                    maro = maro_efficient(inst, x, kind, s, spec, tol).efficient
-                    if maro != mro:
-                        rep.fail(inst, f"x={x} {kind.value}/{s.value}: two-stage "
-                                       f"{mro} vs three-stage[{spec.family.value}] {maro}")
-                if maro_efficient(inst, x, kind, s, specs[2], tol).efficient and not mro:
-                    rep.fail(inst, f"x={x} {kind.value}/{s.value}: weighted-minimum "
-                                   f"efficiency without two-stage efficiency")
+                direct = single_scenario_efficient(
+                    inst, x, derived_set_relation(spec, s), ctx.tol
+                )
+                got = ctx.verdict(x, kind, s, spec).efficient
+                if got != direct:
+                    rep.fail(inst, f"x={x} {kind.value}/{s.value} "
+                                   f"family={spec.family.value}: {got} != {direct}")
 
-    # one scenario collapses every notion to one set comparison
-    if len(inst.scenarios) == 1:
-        rep = reps["remark_single_scenario_coherence"]
-        for spec in specs:
-            for x in inst.decisions:
-                rep.cases += 1
-                for kind, s in _CHAIN:
-                    direct = single_scenario_efficient(
-                        inst, x, derived_set_relation(spec, s), tol
-                    )
-                    got = maro_efficient(inst, x, kind, s, spec, tol).efficient
-                    if got != direct:
-                        rep.fail(inst, f"x={x} {kind.value}/{s.value} "
-                                       f"family={spec.family.value}: {got} != {direct}")
 
-    # replacing recourse images by their efficient fronts changes no value
+@_check("front_reduction_invariance")
+def _front_reduction_invariance(ctx: _Context, rep: CheckReport):
+    """Replacing recourse images by their efficient fronts changes no value."""
+    inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
     reduced = make_instance(
         inst.name + "-fronts", inst.n, inst.decisions, inst.scenarios,
         {
@@ -391,43 +439,69 @@ def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
             for x in inst.decisions for u in inst.scenarios
         },
     )
-    rep = reps["front_reduction_invariance"]
     for x in inst.decisions:
         rep.cases += 1
-        for lam in lams:
-            if not tol.eq(f_lambda(inst, x, lam), f_lambda(reduced, x, lam)):
+        for lam in ctx.lams:
+            if not tol.eq(ctx.f_lambda(x, lam), f_lambda(reduced, x, lam)):
                 rep.fail(inst, f"f_lambda changed for x={x}")
-        if not tol.eq(f_eps_j(inst, x, gb, tol), f_eps_j(reduced, x, gb, tol)):
+        if not tol.eq(ctx.f_eps(x, gb), f_eps_j(reduced, x, gb, tol)):
             rep.fail(inst, f"f_eps_j changed for x={x}")
-        a, b = f_pb(inst, x), f_pb(reduced, x)
-        if not _vec_eq(a, b, tol):
+        if not _vec_eq(ctx.f_pb(x), f_pb(reduced, x), tol):
             rep.fail(inst, f"f_pb changed for x={x}")
 
-    # unit weights reduce the weighted sum to one point-based component
-    rep = reps["unit_weight_reduces_to_pb"]
-    for x in inst.decisions:
-        rep.cases += 1
-        pb = f_pb(inst, x)
-        for i in range(inst.n):
-            e = Weight(tuple(1.0 if k == i else 0.0 for k in range(inst.n)))
-            if f_lambda(inst, x, e) != pb[i]:
-                rep.fail(inst, f"x={x} objective {i + 1}: unit-weight value "
-                               f"{f_lambda(inst, x, e):.17g} != {pb[i]:.17g}")
 
-    # loosening the caps never worsens the constrained value
-    rep = reps["eps_value_monotone"]
-    wider = GenBound(
-        tuple(c + 2.0 for c in gb.eps), gb.j
-    )
-    for x in inst.decisions:
+@_check("unit_weight_reduces_to_pb")
+def _unit_weight_reduces_to_pb(ctx: _Context, rep: CheckReport):
+    """Unit weights reduce the weighted sum to one point-based component."""
+    n = ctx.inst.n
+    for x in ctx.inst.decisions:
         rep.cases += 1
-        if not tol.leq(f_eps_j(inst, x, wider, tol), f_eps_j(inst, x, gb, tol)):
-            rep.fail(inst, f"x={x}: widening caps increased the value")
+        pb = ctx.f_pb(x)
+        for i in range(n):
+            e = Weight(tuple(1.0 if k == i else 0.0 for k in range(n)))
+            value = ctx.f_lambda(x, e)
+            if value != pb[i]:
+                rep.fail(ctx.inst, f"x={x} objective {i + 1}: unit-weight value "
+                                   f"{value:.17g} != {pb[i]:.17g}")
 
-    # recorded observation, never asserted: decisions contributing a point
-    # to the pooled outcome front tend to be weakly flimsy for the strict
-    # lower relation
-    note = reps["note_weak_flimsy_via_mco"]
+
+@_check("eps_value_monotone")
+def _eps_value_monotone(ctx: _Context, rep: CheckReport):
+    """Loosening the caps never worsens the constrained value."""
+    gb = ctx.gb
+    wider = GenBound(tuple(c + 2.0 for c in gb.eps), gb.j)
+    for x in ctx.inst.decisions:
+        rep.cases += 1
+        if not ctx.tol.leq(ctx.f_eps(x, wider), ctx.f_eps(x, gb)):
+            rep.fail(ctx.inst, f"x={x}: widening caps increased the value")
+
+
+@_check("witness_replay")
+def _witness_replay(ctx: _Context, rep: CheckReport):
+    """Every negative verdict of the implication chain carries a witness
+    that replays through an independent set comparison."""
+    inst = ctx.inst
+    for spec in ctx.specs:
+        for x in inst.decisions:
+            for kind, s in _CHAIN:
+                verdict = ctx.verdict(x, kind, s, spec)
+                if verdict.efficient:
+                    continue
+                rep.cases += 1
+                w = verdict.witness
+                if kind is Kind.FLIMSY and len(w.scenario_map) != len(inst.scenarios):
+                    rep.fail(inst, f"flimsy witness for x={x} misses scenarios")
+                elif not _replay(inst, x, verdict, spec, s, ctx.tol):
+                    rep.fail(inst, f"witness ({w.xprime}) for x={x} "
+                                   f"kind={kind.value} does not replay")
+
+
+@_check("note_weak_flimsy_via_mco")
+def _weak_flimsy_via_mco(ctx: _Context, rep: CheckReport):
+    """Recorded observation, never asserted: decisions contributing a point
+    to the pooled outcome front tend to be weakly flimsy for the strict
+    lower relation."""
+    inst, tol = ctx.inst, ctx.tol
     pooled = {p for pts in inst.recourse.values() for p in pts}
     front = set(nondominated(pooled, Orientation.MIN, tol).points)
     for x in inst.decisions:
@@ -435,33 +509,46 @@ def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
                    for p in inst.points(x, u) for q in front)
         if not hits:
             continue
-        note.cases += 1
-        wf = maro_efficient(inst, x, Kind.FLIMSY, Strictness.WEAK,
-                            SetRelSpec(SetRelFamily.LOWER), tol).efficient
+        rep.cases += 1
+        wf = ctx.verdict(x, Kind.FLIMSY, Strictness.WEAK, ctx.specs[1]).efficient
         key = "agree" if wf else "disagree"
-        note.notes[key] = note.notes.get(key, 0) + 1
-
-    return list(reps.values())
+        rep.notes[key] = rep.notes.get(key, 0) + 1
 
 
-ALL_CHECKS = (
-    "thm_ws_implies_ms",
-    "thm_eps_switch",
-    "thm_eps_implies_ms_lower",
-    "lemma_eps_image_weakly_nondominated",
-    "lemma_pb_image_nondominated",
-    "remark_efficiency_implication_chain",
-    "remark_ws_bound",
-    "remark_eps_bound",
-    "remark_pb_sandwich",
-    "lemma_singleton_recourse_coherence",
-    "remark_single_scenario_coherence",
-    "front_reduction_invariance",
-    "unit_weight_reduces_to_pb",
-    "eps_value_monotone",
-    "witness_replay",
-    "note_weak_flimsy_via_mco",
-)
+ALL_CHECKS = tuple(_CHECKS)
+
+
+def _run_check(cid: str, ctx: _Context) -> CheckReport:
+    rep = CheckReport(cid, instances=1)
+    _CHECKS[cid](ctx, rep)
+    return rep
+
+
+def check_thm_ws_implies_ms(inst: Instance, lam: Weight,
+                            tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """The ``thm_ws_implies_ms`` check for one weight vector."""
+    return _run_check("thm_ws_implies_ms", _Context(inst, tol, lams=(lam,)))
+
+
+def check_thm_eps_switch(inst: Instance, gb: GenBound,
+                         tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """The ``thm_eps_switch`` check for one generating bound."""
+    return _run_check("thm_eps_switch", _Context(inst, tol, gb=gb))
+
+
+def check_thm_eps_implies_ms_lower(inst: Instance, gb: GenBound,
+                                   tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """The ``thm_eps_implies_ms_lower`` check for one generating bound."""
+    return _run_check("thm_eps_implies_ms_lower", _Context(inst, tol, gb=gb))
+
+
+def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
+                             eps_list: list[Vec] | None = None,
+                             tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
+    """Per-instance battery of the remaining proved statements and recorded
+    observations, one report per check id after the three theorems."""
+    ctx = _Context(inst, tol, lams, gb, eps_list)
+    return [_run_check(cid, ctx) for cid in ALL_CHECKS[3:]]
 
 
 def _battery_weights(n: int) -> list[Weight]:
@@ -507,18 +594,9 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
     unknown = wanted - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    selected = [cid for cid in ALL_CHECKS if cid in wanted]
     rng = random.Random(seed)
-    merged: dict[str, CheckReport] = {}
-
-    def absorb(rep: CheckReport):
-        if rep.check_id not in wanted:
-            return
-        if rep.check_id not in merged:
-            merged[rep.check_id] = rep
-        else:
-            merged[rep.check_id].merge(rep)
-
-    lemma_ids = set(ALL_CHECKS[3:])
+    merged = {cid: CheckReport(cid) for cid in selected}
     for _ in range(count):
         cfg = GenConfig(
             seed=rng.randrange(2**32),
@@ -530,6 +608,8 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
         )
         inst = generate(cfg)
         lams = _battery_weights(inst.n)
+        # every instance draws its bounds, whatever is selected, so each
+        # check sees the same instances alone as in the full battery
         gb = GenBound(
             tuple(float(rng.randint(6, 22)) for _ in range(inst.n)),
             rng.randint(1, inst.n),
@@ -537,16 +617,9 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
         eps_list = [
             tuple(float(rng.randint(4, 22)) for _ in range(inst.n)) for _ in range(4)
         ]
-        if "thm_ws_implies_ms" in wanted:
-            for lam in lams:
-                absorb(check_thm_ws_implies_ms(inst, lam, tol))
-        if "thm_eps_switch" in wanted:
-            absorb(check_thm_eps_switch(inst, gb, tol))
-        if "thm_eps_implies_ms_lower" in wanted:
-            absorb(check_thm_eps_implies_ms_lower(inst, gb, tol))
-        if wanted & lemma_ids:
-            for rep in check_lemmas_and_remarks(inst, lams, gb, eps_list, tol):
-                absorb(rep)
+        ctx = _Context(inst, tol, lams, gb, eps_list)
+        for cid in selected:
+            merged[cid].merge(_run_check(cid, ctx))
     return BatteryReport(seed, count, jitter, merged)
 
 

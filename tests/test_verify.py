@@ -7,6 +7,7 @@ from maro import (
     GenConfig,
     Kind,
     Strictness,
+    Tolerance,
     Weight,
     check_lemmas_and_remarks,
     check_thm_eps_implies_ms_lower,
@@ -14,13 +15,18 @@ from maro import (
     check_thm_ws_implies_ms,
     compare_concepts,
     dump_instance,
+    eps_efficient_set,
     fixture,
+    fixture_meta,
     generate,
     load_instance,
     make_instance,
     mro_efficient,
     run_battery,
+    simplex_grid,
+    ws_efficient_set,
 )
+from maro.verify import ALL_CHECKS
 
 HALF = Weight((0.5, 0.5))
 
@@ -174,11 +180,74 @@ def test_compare_concepts_fig2l_all_select_x2():
 
 def test_compare_concepts_fig6_separations():
     for name in ("FIG6L", "FIG6R"):
-        from maro import fixture_meta
-
         sep = fixture_meta(name)["separation"]
         table = compare_concepts(
             fixture(name), Weight(sep["lambda"]), GenBound(sep["eps"], sep["j"])
         )
         assert ("x1" in table["constraint"]["plain"]) == sep["eps_efficient"]
         assert ("x1" in table["weighted_sum"]["plain"]) == sep["ws_efficient"]
+
+
+def test_fig6_separation_rederived_on_small_grid():
+    # FIG6L's x1 is constraint efficient but not weighted-sum efficient,
+    # FIG6R's the other way around; sweeping weights of the k=20 simplex
+    # grid and integer caps finds the frozen (lambda, eps, j) among the
+    # separating parameters
+    for name in ("FIG6L", "FIG6R"):
+        inst = fixture(name)
+        sep = fixture_meta(name)["separation"]
+        x, want_eps = sep["x"], sep["eps_efficient"]
+        lam_hits = [lam for lam in simplex_grid(2, 20)
+                    if (x in ws_efficient_set(inst, Weight(lam)).decisions) == sep["ws_efficient"]]
+        eps_hits = []
+        for j in (1, 2):
+            for cap in range(11):
+                eps = tuple(float(cap) if i != j - 1 else 0.0 for i in range(2))
+                sel = eps_efficient_set(inst, GenBound(eps, j))
+                if not sel.infeasible and (x in sel.decisions) == want_eps:
+                    eps_hits.append((eps, j))
+        assert want_eps != sep["ws_efficient"]
+        assert tuple(sep["lambda"]) in lam_hits, name
+        assert (tuple(sep["eps"]), sep["j"]) in eps_hits, name
+
+
+THEOREM_CHECKS = ["thm_ws_implies_ms", "thm_eps_switch", "thm_eps_implies_ms_lower"]
+
+
+@pytest.mark.parametrize("tau,jitter", [(1e-9, 0.0), (1e-9, 0.25), (0.0, 0.0), (0.0, 0.25)])
+def test_battery_subsets_equal_slices_of_full_report(tau, jitter):
+    # every check runs alone on the same instances and draws as in the full
+    # battery; at this seed and count every check has cases
+    tol = Tolerance(tau)
+    full = run_battery(29, 24, jitter=jitter, tol=tol).reports
+    assert list(full) == list(ALL_CHECKS)
+    assert all(rep.cases > 0 for rep in full.values())
+    for ids in [[cid] for cid in ALL_CHECKS] + [THEOREM_CHECKS]:
+        part = run_battery(29, 24, ids, jitter=jitter, tol=tol).reports
+        assert list(part) == ids
+        for cid in ids:
+            assert part[cid].to_dict() == full[cid].to_dict(), cid
+
+
+def test_selected_check_computes_no_verdicts(monkeypatch):
+    def no_verdict(*args, **kwargs):
+        raise AssertionError("a verdict was computed")
+
+    monkeypatch.setattr("maro.verify.maro_efficient", no_verdict)
+    rep = run_battery(123, 20, ["remark_pb_sandwich", "eps_value_monotone"])
+    assert rep.passed and set(rep.reports) == {"remark_pb_sandwich", "eps_value_monotone"}
+
+
+def test_battery_computes_each_verdict_once(monkeypatch):
+    import maro.verify
+
+    seen = []
+    real = maro.verify.maro_efficient
+
+    def counting(inst, x, kind, strictness, spec, tol):
+        seen.append((inst.name, x, kind, strictness, spec))
+        return real(inst, x, kind, strictness, spec, tol)
+
+    monkeypatch.setattr("maro.verify.maro_efficient", counting)
+    assert run_battery(29, 12).passed
+    assert seen and len(seen) == len(set(seen))
