@@ -38,34 +38,37 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     MAX).  Duplicates under tolerance equality keep one representative (the
     lexicographically smallest).
 
-    After the lexicographic sort, q can dominate p under MIN only if
-    ``q[0] - p[0] <= tau``.  Rounding is monotone, so that float expression
-    never decreases along the sorted first coordinates: the candidates form a
-    prefix, and its end only moves forward as p[0] grows.  The bound is
-    tested with the very expression the scan then checks, so it drops no
-    candidate the check would accept.  Under MAX the test is
-    ``p[0] - q[0] <= tau`` and the candidates form a suffix whose start
-    likewise only moves forward.  The scan
-    inlines the finite comparisons of :class:`Tolerance`; input with a
-    non-finite coordinate (or none at all) takes the unpruned pairwise filter.
+    Under MIN, with d = q - p, q dominates p iff every ``d_i <= tau`` and some
+    ``d_i < -tau``.  Two objectives take an exact O(m log m) kernel at every
+    tau (:func:`_dominated2`); MAX runs it on the negated points in reverse
+    order, since ``p_i - q_i`` equals ``(-q_i) - (-p_i)`` bit for bit.  At
+    tau = 0 under MIN a one-pass sweep is cheaper still (Kung, Luccio &
+    Preparata 1975): every dominator or duplicate of p sorts before p, so p
+    survives iff ``p[1]`` is smaller than that of the last point kept.
 
-    Two objectives at tau = 0 under MIN take a one-pass sweep instead (Kung,
-    Luccio & Preparata 1975): every dominator or duplicate of p sorts before
-    p, so p survives iff ``p[1]`` is smaller than that of the last point kept.
+    Other dimensions scan a pruned candidate range.  After the lexicographic
+    sort, q can dominate p under MIN only if ``q[0] - p[0] <= tau``.
+    Rounding is monotone, so that float expression never decreases along the
+    sorted first coordinates: the candidates form a prefix, and its end only
+    moves forward as p[0] grows.  The bound is tested with the very
+    expression the scan then checks, so it drops no candidate the check
+    would accept.  Under MAX the test is ``p[0] - q[0] <= tau`` and the
+    candidates form a suffix whose start likewise only moves forward.  The
+    scan inlines the finite comparisons of :class:`Tolerance`; input with a
+    non-finite coordinate (or none at all) takes the unpruned pairwise filter.
     """
     pts = sorted(tuple(p) for p in points)
     if not pts:
         raise ValueError("nondominated() requires a non-empty point set")
-    n = len(pts[0])
-    for p in pts:
-        if len(p) != n:
-            raise ValueError(f"length mismatch: {n} vs {len(p)}")
+    n = _common_length(pts)
     if n == 0 or not all(map(math.isfinite, chain.from_iterable(pts))):
         return _pairwise_front(pts, orientation, tol)
     tau = tol.tau
     is_min = orientation is Orientation.MIN
-    if n == 2 and tau == 0.0 and is_min:
-        return _sweep_min_front2(pts)
+    if n == 2:
+        if tau == 0.0 and is_min:
+            return _sweep_min_front2(pts)
+        return _front2(pts, orientation, tau)
     m = len(pts)
     # candidates for the current p are pts[lo:hi]
     lo, hi = 0, (0 if is_min else m)
@@ -98,6 +101,70 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
             else:
                 keep.append(p)
     return FrontSet(tuple(keep), orientation)
+
+
+def _common_length(pts) -> int:
+    n = len(pts[0])
+    for p in pts:
+        if len(p) != n:
+            raise ValueError(f"length mismatch: {n} vs {len(p)}")
+    return n
+
+
+def _front2(pts: list[Vec], orientation: Orientation, tau: float) -> FrontSet:
+    """The front of sorted, finite two-objective points at any tau."""
+    if orientation is Orientation.MIN:
+        dominated = _dominated2([p[0] for p in pts], [p[1] for p in pts], tau)
+    else:
+        # MAX dominance is MIN dominance of the negated points, which sort
+        # in reverse order
+        dominated = _dominated2([-p[0] for p in reversed(pts)],
+                                [-p[1] for p in reversed(pts)], tau)
+        dominated.reverse()
+    keep: list[Vec] = []
+    for p, dom in zip(pts, dominated):
+        if dom:
+            continue
+        p0, p1 = p
+        # kept points ascend in the first coordinate, so p0 - k0 >= 0 only
+        # grows along the scan back through them
+        duplicate = False
+        for k0, k1 in reversed(keep):
+            if p0 - k0 > tau:
+                break
+            if abs(p1 - k1) <= tau:
+                duplicate = True
+                break
+        if not duplicate:
+            keep.append(p)
+    return FrontSet(tuple(keep), orientation)
+
+
+def _dominated2(xs: list[float], ys: list[float], tau: float) -> list[bool]:
+    """Whether each point (xs[k], ys[k]) is MIN-dominated within tau by
+    another; xs ascending, all finite.
+
+    With d = q - p, q dominates p iff (A) ``d_0 < -tau`` and ``d_1 <= tau``,
+    or (B) ``d_0 <= tau`` and ``d_1 < -tau``.  Float subtraction is
+    monotone, so the q meeting each case's first test are a prefix that only
+    grows as p advances, and some q in it meets the second test iff the
+    prefix's least q_1 does.  Both tests use the very expressions d_i.
+    """
+    m = len(xs)
+    a = b = 0  # ends of the prefixes of cases (A) and (B)
+    min_a = min_b = math.inf
+    out = []
+    for p0, p1 in zip(xs, ys):
+        while a < m and xs[a] - p0 < -tau:
+            if ys[a] < min_a:
+                min_a = ys[a]
+            a += 1
+        while b < m and xs[b] - p0 <= tau:
+            if ys[b] < min_b:
+                min_b = ys[b]
+            b += 1
+        out.append(min_a - p1 <= tau or min_b - p1 < -tau)
+    return out
 
 
 def _sweep_min_front2(pts: list[Vec]) -> FrontSet:
@@ -143,6 +210,6 @@ def ideal(points, orientation: Orientation = Orientation.MIN) -> Vec:
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("ideal() requires a non-empty point set")
-    n = len(pts[0])
+    n = _common_length(pts)
     agg = min if orientation is Orientation.MIN else max
     return tuple(agg(p[i] for p in pts) for i in range(n))

@@ -30,13 +30,11 @@ from .scalarize import (
     _selection,
     check_eps_bound,
     check_ws_bound,
-    eps_efficient_set,
     f_eps_j,
     f_lambda,
     f_pb,
     pb_efficient_set,
     pb_trivial_bounds,
-    ws_efficient_set,
 )
 
 
@@ -625,11 +623,13 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
 
 def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
                      tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Machine-readable side-by-side of the three concepts on one instance."""
-    ws_plain = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
-    ws_strict = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
-    eps_plain = eps_efficient_set(inst, gb, Strictness.PLAIN, tol)
-    eps_strict = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
+    """Machine-readable side-by-side of the three concepts on one instance;
+    one context computes each scalar value of the selections once."""
+    ctx = _Context(inst, tol)
+    ws_plain = ctx.ws_set(lam, Strictness.PLAIN)
+    ws_strict = ctx.ws_set(lam, Strictness.STRICT)
+    eps_plain = ctx.eps_set(gb, Strictness.PLAIN)
+    eps_strict = ctx.eps_set(gb, Strictness.STRICT)
     ws_img = image_ws(inst, lam, tol)
     eps_img = image_eps(inst, gb, tol)
     pb_img = image_pb(inst, tol)
@@ -669,7 +669,7 @@ def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
             "strict": list(pb_efficient_set(inst, Strictness.STRICT, tol)),
             "plain": list(pb_efficient_set(inst, Strictness.PLAIN, tol)),
             "weak": list(pb_efficient_set(inst, Strictness.WEAK, tol)),
-            "value": {x: list(f_pb(inst, x)) for x in inst.decisions},
+            "value": {x: list(ctx.f_pb(x)) for x in inst.decisions},
             "trivial_bounds": {
                 x: {
                     "lo": list(lo), "hi": list(hi), "holds": holds,

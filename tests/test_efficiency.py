@@ -210,6 +210,27 @@ def test_verdicts_and_witnesses_match_oracles(source, tau, data):
                 brute_mro_verdict(inst, x, kind.value, s.value, tau)
 
 
+@pytest.mark.parametrize("tau", (0.0, 1e-9))
+@pytest.mark.parametrize("source", ["generated", "near-tie"])
+@given(data=st.data())
+def test_front_reduced_instance_keeps_every_verdict(source, tau, data):
+    # the tau-front is idempotent: a kept point is tau-equal to no other
+    # kept point, so replacing each image by its front moves no verdict
+    inst = data.draw(VERDICT_INSTANCES[source](tau))
+    tol = Tolerance(tau)
+    reduced = make_instance(inst.name + "-fronts", inst.n, inst.decisions, inst.scenarios, {
+        (x, u): inner_efficient(inst, x, u, tol).points
+        for x in inst.decisions for u in inst.scenarios
+    })
+    lam = tuple(1.0 / inst.n for _ in range(inst.n))
+    for x in inst.decisions:
+        for family, w in (("u", None), ("l", None), ("lmin", lam)):
+            spec = SetRelSpec(SetRelFamily(family), lam=w)
+            for kind, s in MARO_COMBOS:
+                assert maro_efficient(reduced, x, kind, s, spec, tol) == \
+                    maro_efficient(inst, x, kind, s, spec, tol)
+
+
 def test_mro_decides_without_set_relations(monkeypatch):
     # the singleton-coherence lemma compares mro_efficient with
     # maro_efficient, so the two-stage checker must not read set relations

@@ -99,8 +99,11 @@ def test_matches_bruteforce(S):
 
 def test_mixed_lengths_rejected():
     for orientation in Orientation:
-        with pytest.raises(ValueError, match="length mismatch"):
-            nondominated([(1.0, 2.0), (0.0, 1.0, 2.0)], orientation)
+        for S in ([(1.0, 2.0), (0.0, 1.0, 2.0)], [(1.0, 2.0), (0.0,)]):
+            with pytest.raises(ValueError, match="length mismatch"):
+                nondominated(S, orientation)
+            with pytest.raises(ValueError, match="length mismatch"):
+                ideal(S, orientation)
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
@@ -143,11 +146,55 @@ def test_two_objective_sweep_fixed_cases():
         (0.0, -INF),)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_two_objective_kernel_on_overflowing_differences():
+    # q0 - p0 and q1 - p1 round to +-inf although every coordinate is finite
+    big, huge = 1e308, 1.7e308
+    S = [(-huge, huge), (huge, -huge), (big, big), (-big, -big), (-huge, -big),
+         (huge, huge), (0.0, -huge), (-big, huge), (big, -huge), (-0.0, 0.0)]
+    for tau in (1e-9, 0.5):
+        tol = Tolerance(tau)
+        lo = nondominated(S, Orientation.MIN, tol).points
+        hi = nondominated(S, Orientation.MAX, tol).points
+        assert lo == ((-huge, -big), (0.0, -huge))
+        assert hi == ((huge, huge),)
+        assert list(lo) == tol_front(S, "min", tau)
+        assert list(hi) == tol_front(S, "max", tau)
+        pair = [(-huge, 0.0), (huge, -big)]
+        assert list(nondominated(pair, Orientation.MIN, tol).points) == pair
+        assert list(nondominated(pair, Orientation.MAX, tol).points) == pair
+
+
+def test_two_objective_kernel_at_the_slack_boundary():
+    # d0 = -tau exactly is no strict gain: (0.5, 1.5) does not dominate
+    # (1.0, 1.0) but is dropped as a duplicate of (0.25, 1.75), which keeps
+    # (1.0, 1.0) alive; and d1 = -tau exactly lets (1.0, 1.0) survive
+    # (1.25, 0.5), which then goes as its duplicate
+    tol = Tolerance(0.5)
+    for S, front in (([(0.25, 1.75), (0.5, 1.5), (1.0, 1.0)], [(0.25, 1.75), (1.0, 1.0)]),
+                     ([(1.0, 1.0), (1.25, 0.5)], [(1.0, 1.0)])):
+        assert list(nondominated(S, Orientation.MIN, tol).points) == front
+        assert front == tol_front(S, "min", 0.5)
+        neg = [(-a, -b) for a, b in S]
+        assert list(nondominated(neg, Orientation.MAX, tol).points) == tol_front(neg, "max", 0.5)
+
+
+def test_two_objective_signed_zero_representative_under_max():
+    # tau-equal points keep the first in ascending sorted order, which for
+    # equal keys is the input order
+    for tau in (1e-9, 0.5):
+        tol = Tolerance(tau)
+        for S in ([(0.0, 1.0), (-0.0, 1.0)], [(-0.0, 1.0), (0.0, 1.0)],
+                  [(1.0, -0.0), (1.0, 0.0), (-1.0, 0.0)]):
+            got = nondominated(S, Orientation.MAX, tol).points
+            assert repr(got) == repr(tuple(tol_front(S, "max", tau))) == repr((S[0],))
+
+
+@pytest.mark.parametrize("n,max_size", [(1, 6), (2, 6), (3, 6), (4, 6), (2, 40)],
+                         ids=["1", "2", "3", "4", "2-up-to-40"])
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
 @given(data=st.data())
-def test_matches_tolerance_oracle_on_near_ties(tau, n, data):
-    S = data.draw(near_tie_sets(n, tau))
+def test_matches_tolerance_oracle_on_near_ties(tau, n, max_size, data):
+    S = data.draw(near_tie_sets(n, tau, max_size))
     tol = Tolerance(tau)
     assert list(nondominated(S, Orientation.MIN, tol).points) == tol_front(S, "min", tau)
     assert list(nondominated(S, Orientation.MAX, tol).points) == tol_front(S, "max", tau)

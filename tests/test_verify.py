@@ -251,3 +251,25 @@ def test_battery_computes_each_verdict_once(monkeypatch):
     monkeypatch.setattr("maro.verify.maro_efficient", counting)
     assert run_battery(29, 12).passed
     assert seen and len(seen) == len(set(seen))
+
+
+def test_compare_computes_each_selection_value_once(monkeypatch):
+    import maro.verify
+
+    seen = []
+
+    def counting(name):
+        real = getattr(maro.verify, name)
+
+        def wrapper(inst, x, *rest):
+            seen.append((name, x))
+            return real(inst, x, *rest)
+        return wrapper
+
+    for name in ("f_lambda", "f_eps_j"):
+        monkeypatch.setattr(f"maro.verify.{name}", counting(name))
+    inst = fixture("FIG6L")
+    table = compare_concepts(inst, HALF, GenBound((0.0, 5.0), 1))
+    assert table["weighted_sum"]["plain"] and table["constraint"]["plain"]
+    assert sorted(seen) == sorted((name, x) for name in ("f_lambda", "f_eps_j")
+                                  for x in inst.decisions)
