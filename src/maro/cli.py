@@ -98,6 +98,30 @@ def _parse_eps(text: str, j: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:
+        raise UsageError(f"cannot read {what}: {e}") from None
+
+
+def _point(entry, path: str) -> tuple[float, ...]:
+    """A JSON array of numbers, as floats; a boolean, string, NaN or integer
+    beyond the float range is refused with its document path."""
+    if not isinstance(entry, list):
+        raise UsageError(f"{path}: cannot interpret as a point")
+    out = []
+    for k, c in enumerate(entry):
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or c != c:
+            raise UsageError(f"{path}[{k}]: expected a number, got {json.dumps(c)}")
+        try:
+            out.append(float(c))
+        except OverflowError:
+            raise UsageError(f"{path}[{k}]: integer too large for a float") from None
+    return tuple(out)
+
+
 def _cmd_validate(args) -> int:
     inst, _ = _load(args)
     _emit_json({
@@ -228,7 +252,7 @@ def _cmd_image(args) -> int:
     inst, tol = _load(args)
     n = inst.n
     if args.what == "ws":
-        if args.grid_k:
+        if args.grid_k is not None:
             grid = WeightGrid(n, args.grid_k)
             tagged = image_ws_grid(inst, grid, tol)
             doc = {"concept": "ws", "grid_k": args.grid_k,
@@ -245,18 +269,17 @@ def _cmd_image(args) -> int:
         else:
             raise UsageError("image ws needs --lambda or --grid-k")
     elif args.what == "eps":
-        if not args.j:
+        if args.j is None:
             raise UsageError("image eps needs --j")
         if args.eps_list:
-            try:
-                with open(args.eps_list, encoding="utf-8") as fh:
-                    eps_values = json.load(fh)
-            except (OSError, json.JSONDecodeError) as e:
-                raise UsageError(f"cannot read --eps-list: {e}") from None
-            if (not isinstance(eps_values, list)
-                    or not all(isinstance(e, list) and len(e) == n for e in eps_values)):
-                raise UsageError(f"--eps-list must be a JSON array of length-{n} arrays")
-            grid = BoundGrid(args.j, tuple(tuple(map(float, e)) for e in eps_values))
+            doc = _read_json(args.eps_list, "--eps-list")
+            if not isinstance(doc, list) or not doc:
+                raise UsageError(f"--eps-list: must be a non-empty array of length-{n} arrays")
+            eps_values = [_point(e, f"--eps-list[{i}]") for i, e in enumerate(doc)]
+            for i, eps in enumerate(eps_values):
+                if len(eps) != n:
+                    raise UsageError(f"--eps-list[{i}]: expected {n} entries, got {len(eps)}")
+            grid = BoundGrid(args.j, tuple(eps_values))
             img = image_eps_grid(inst, grid, tol)
             doc = {"concept": "eps", "j": args.j,
                    "points": [list(p) for p in img.points],
@@ -285,36 +308,29 @@ def _cmd_image(args) -> int:
 
 
 def _extract_points(doc) -> list[tuple[float, ...]]:
+    path = "--in"
     if isinstance(doc, dict):
         if "points" in doc:
-            doc = doc["points"]
+            doc, path = doc["points"], "--in.points"
         elif "point" in doc:
-            doc = [doc["point"]]
+            return [_point(doc["point"], "--in.point")]
         else:
             raise UsageError("input JSON has no 'points' field")
     if not isinstance(doc, list):
-        raise UsageError("input JSON must be a point list or an image document")
+        raise UsageError(f"{path}: must be a point list or an image document")
     pts = []
-    for entry in doc:
+    for i, entry in enumerate(doc):
+        where = f"{path}[{i}]"
         if isinstance(entry, dict):
-            entry = entry.get("point")
-        if not isinstance(entry, list):
-            raise UsageError("cannot interpret input entries as points")
-        try:
-            pts.append(tuple(float(c) for c in entry))
-        except (TypeError, ValueError):
-            raise UsageError("cannot interpret input entries as points") from None
+            entry, where = entry.get("point"), f"{where}.point"
+        pts.append(_point(entry, where))
     return pts
 
 
 def _cmd_plot(args) -> int:
     datasets = []
     if args.infile:
-        try:
-            with open(args.infile, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise UsageError(f"cannot read {args.infile}: {e}") from None
+        doc = _read_json(args.infile, args.infile)
         datasets.append((args.label or "points", _extract_points(doc)))
     else:
         inst, tol = _load(args)
@@ -326,7 +342,7 @@ def _cmd_plot(args) -> int:
             lam = _parse_weight(args.lam)
             datasets.append(("ws", list(image_ws(inst, lam, tol))))
         elif args.what == "eps":
-            if not (args.eps and args.j):
+            if not args.eps or args.j is None:
                 raise UsageError("plot --what eps needs --eps and --j")
             one = image_eps(inst, GenBound(_parse_eps(args.eps, args.j), args.j), tol)
             if not one.feasible:

@@ -114,7 +114,11 @@ def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Ver
 def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
                    spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Decide three-stage efficiency of ``x`` under the selected set relation,
-    comparing inner efficient fronts scenario by scenario."""
+    comparing inner efficient fronts scenario by scenario; memoized."""
+    key = ("verdict", x, kind, strictness, spec, tol.tau)
+    hit = inst._cache.get(key)
+    if hit is not None:
+        return hit
     _check_decision(inst, x)
     if kind is Kind.POINT_BASED:
         raise ValueError("point-based efficiency is a vector notion; "
@@ -133,8 +137,9 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
     def dominates(xp: str, u: str) -> bool:
         return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], rel, tol.tau)
 
-    return _decide(inst, x, kind, dominates,
-                   lambda xp: all(dominates(xp, u) for u in inst.scenarios))
+    hit = inst._cache[key] = _decide(inst, x, kind, dominates,
+                                     lambda xp: all(dominates(xp, u) for u in inst.scenarios))
+    return hit
 
 
 @dataclass(frozen=True)

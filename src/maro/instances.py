@@ -79,8 +79,9 @@ class Instance:
     ``recourse`` maps every ``(decision, scenario)`` pair to a non-empty
     tuple of objective vectors of length ``n``; it is stored as a read-only
     copy, with every ``-0.0`` coordinate read as ``0.0``.  Instances are
-    immutable after construction; ``_cache`` only memoizes derived fronts
-    and is excluded from equality.
+    immutable after construction.  ``_cache``, excluded from equality, is
+    the one memo of derived values (fronts, scalar values, verdicts), keyed
+    by a tuple naming the value and every argument it depends on.
     """
 
     name: str
@@ -132,13 +133,13 @@ class Instance:
         # value independent of the order of the points
         for key in signed_zero:
             recourse[key] = tuple(tuple(c + 0.0 for c in p) for p in recourse[key])
-        # _cache memoizes the fronts that verdicts and scalar values read,
-        # so the data behind them must not change after first use
+        # _cache memoizes fronts, scalar values and verdicts, so the data
+        # behind them must not change after first use
         object.__setattr__(self, "recourse", MappingProxyType(recourse))
 
     def __reduce__(self):
         # a mappingproxy does not pickle; rebuild from a plain copy, with an
-        # empty front cache
+        # empty memo
         return (type(self), (self.name, self.n, self.decisions, self.scenarios,
                              dict(self.recourse), self.sampled))
 

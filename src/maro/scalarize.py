@@ -20,7 +20,10 @@ non-negative and float ``*``, ``+`` and ``-`` round monotonically, so
 ``p_k <= q_k``: each minimum is the same float and each test the same
 boolean as over all points.  The front is taken at tau = 0, never at the
 caller's tolerance, because a tau-front may drop a point better by up to
-tau.  Fronts are memoized per instance, so a pass builds each one once.
+tau.  Fronts and the three values are memoized on the instance, keyed by
+every argument they depend on, so each is computed once whichever caller
+asks first; a failed call stores nothing and raises again.  Selections are
+rebuilt from the memoized values.
 """
 
 from __future__ import annotations
@@ -93,11 +96,16 @@ class Selection:
 
 def f_lambda(inst: Instance, x: str, lam: Weight) -> float:
     """Worst case over scenarios of the best weighted sum over recourse."""
-    if len(lam.values) != inst.n:
-        raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
-    if x not in inst.decisions:
-        raise InstanceError(f"unknown decision {x!r}")
-    return max(weighted_min(_front(inst, x, u), lam.values) for u in inst.scenarios)
+    key = ("ws", x, lam.values)
+    hit = inst._cache.get(key)
+    if hit is None:
+        if len(lam.values) != inst.n:
+            raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
+        if x not in inst.decisions:
+            raise InstanceError(f"unknown decision {x!r}")
+        hit = inst._cache[key] = max(weighted_min(_front(inst, x, u), lam.values)
+                                     for u in inst.scenarios)
+    return hit
 
 
 def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -108,28 +116,36 @@ def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) 
     empty outer maximization can never fire, but ``max`` over a non-empty
     sequence matches it anyway.
     """
-    if len(gb.eps) != inst.n:
-        raise InstanceError(f"bound length {len(gb.eps)} != objective count {inst.n}")
-    k = gb.j - 1
-    per_scenario = []
-    for u in inst.scenarios:
-        best = INF
-        for p in _front(inst, x, u):
-            if all(tol.leq(p[i], gb.eps[i]) for i in range(inst.n) if i != k):
-                if p[k] < best:
-                    best = p[k]
-        per_scenario.append(best)
-    return max(per_scenario)
+    key = ("eps", x, gb.eps, gb.j, tol.tau)
+    hit = inst._cache.get(key)
+    if hit is None:
+        if len(gb.eps) != inst.n:
+            raise InstanceError(f"bound length {len(gb.eps)} != objective count {inst.n}")
+        k = gb.j - 1
+        per_scenario = []
+        for u in inst.scenarios:
+            best = INF
+            for p in _front(inst, x, u):
+                if all(tol.leq(p[i], gb.eps[i]) for i in range(inst.n) if i != k):
+                    if p[k] < best:
+                        best = p[k]
+            per_scenario.append(best)
+        hit = inst._cache[key] = max(per_scenario)
+    return hit
 
 
 def f_pb(inst: Instance, x: str) -> Vec:
     """Per-objective worst case over scenarios of the best recourse value."""
-    if x not in inst.decisions:
-        raise InstanceError(f"unknown decision {x!r}")
-    return tuple(
-        max(min(p[i] for p in _front(inst, x, u)) for u in inst.scenarios)
-        for i in range(inst.n)
-    )
+    key = ("pb", x)
+    hit = inst._cache.get(key)
+    if hit is None:
+        if x not in inst.decisions:
+            raise InstanceError(f"unknown decision {x!r}")
+        hit = inst._cache[key] = tuple(
+            max(min(p[i] for p in _front(inst, x, u)) for u in inst.scenarios)
+            for i in range(inst.n)
+        )
+    return hit
 
 
 def _selection(inst: Instance, values: dict[str, float], strictness: Strictness,

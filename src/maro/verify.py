@@ -26,15 +26,15 @@ from .pareto import Orientation, inner_efficient, nondominated
 from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp, vec_cmp
 from .scalarize import (
     GenBound,
-    Selection,
-    _selection,
     check_eps_bound,
     check_ws_bound,
+    eps_efficient_set,
     f_eps_j,
     f_lambda,
     f_pb,
     pb_efficient_set,
     pb_trivial_bounds,
+    ws_efficient_set,
 )
 
 
@@ -186,24 +186,12 @@ def _replay(inst: Instance, x: str, verdict: Verdict, spec: SetRelSpec,
     )
 
 
-def _memoized(method):
-    """Keep a context method's result per argument tuple."""
-    def wrapper(ctx, *args):
-        key = (method, *args)
-        hit = ctx._cache.get(key)
-        if hit is None:
-            hit = ctx._cache[key] = method(ctx, *args)
-        return hit
-    return wrapper
-
-
 class _Context:
-    """One instance, its battery parameters, and what the checks share,
-    each computed when first asked for.  The independent references
-    (``mro_efficient``, ``single_scenario_efficient``, witness replay and
-    the front-reduced instance) are never read from here, so the coherence
-    checks still compare two separate deciders.  A context serves one
-    instance only."""
+    """One instance and its battery parameters; the verdicts and scalar
+    values the checks share are memoized on the instance.  The independent
+    references (``mro_efficient``, ``single_scenario_efficient``, witness
+    replay and the front-reduced instance) read none of them, so the
+    coherence checks still compare two separate deciders."""
 
     def __init__(self, inst: Instance, tol: Tolerance, lams: list[Weight] = (),
                  gb: GenBound | None = None, eps_list: list[Vec] | None = None):
@@ -213,33 +201,6 @@ class _Context:
         self.gb = gb
         self.eps_list = eps_list
         self.specs = _family_specs(inst.n)
-        self._cache: dict = {}
-
-    @_memoized
-    def verdict(self, x: str, kind: Kind, s: Strictness, spec: SetRelSpec) -> Verdict:
-        return maro_efficient(self.inst, x, kind, s, spec, self.tol)
-
-    @_memoized
-    def f_lambda(self, x: str, lam: Weight) -> float:
-        return f_lambda(self.inst, x, lam)
-
-    @_memoized
-    def f_eps(self, x: str, gb: GenBound) -> float:
-        return f_eps_j(self.inst, x, gb, self.tol)
-
-    @_memoized
-    def f_pb(self, x: str) -> Vec:
-        return f_pb(self.inst, x)
-
-    @_memoized
-    def ws_set(self, lam: Weight, s: Strictness) -> Selection:
-        values = {x: self.f_lambda(x, lam) for x in self.inst.decisions}
-        return _selection(self.inst, values, s, self.tol, "ws", lam=lam.values)
-
-    @_memoized
-    def eps_set(self, gb: GenBound, s: Strictness) -> Selection:
-        values = {x: self.f_eps(x, gb) for x in self.inst.decisions}
-        return _selection(self.inst, values, s, self.tol, "eps", eps=gb.eps, j=gb.j)
 
 
 # check id -> function(context, report) filling that instance's report, in
@@ -259,15 +220,15 @@ def _thm_ws_implies_ms(ctx: _Context, rep: CheckReport):
     """Strict weighted-sum efficiency forces strict multi-scenario efficiency
     under the matching weighted-minimum set relation.  The theorem is stated
     per weight vector, so each one counts as an instance and a case."""
-    inst = ctx.inst
+    inst, tol = ctx.inst, ctx.tol
     rep.instances = rep.cases = len(ctx.lams)
     for lam in ctx.lams:
-        sel = ctx.ws_set(lam, Strictness.STRICT)
+        sel = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
         if sel.entries:
             rep.non_vacuous += 1
         spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam.values)
         for x, g in sel.entries:
-            v = ctx.verdict(x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec)
+            v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec, tol)
             if not v.efficient:
                 rep.fail(inst, f"x={x} strictly ws-efficient for lam={_fmt_vec(lam.values)} "
                                f"(value {g.value:.17g}) but multi-scenario dominated by "
@@ -279,9 +240,9 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
     """A strict constraint-efficient decision stays strict when the bound
     slot it minimized is fixed to its guarantee and any other objective is
     minimized instead."""
-    inst, gb = ctx.inst, ctx.gb
+    inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
     rep.cases = 1
-    for x, g in ctx.eps_set(gb, Strictness.STRICT).entries:
+    for x, g in eps_efficient_set(inst, gb, Strictness.STRICT, tol).entries:
         if g.value == INF:
             continue
         rep.non_vacuous = 1
@@ -289,7 +250,7 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
             g.value if i == gb.j - 1 else gb.eps[i] for i in range(inst.n)
         )
         for j2 in range(1, inst.n + 1):
-            sel2 = ctx.eps_set(GenBound(eps2, j2), Strictness.STRICT)
+            sel2 = eps_efficient_set(inst, GenBound(eps2, j2), Strictness.STRICT, tol)
             if x not in sel2.decisions:
                 rep.fail(
                     inst,
@@ -303,13 +264,13 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
 def _thm_eps_implies_ms_lower(ctx: _Context, rep: CheckReport):
     """Strict constraint efficiency forces strict multi-scenario efficiency
     under the lower set relation."""
-    inst, gb = ctx.inst, ctx.gb
+    inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
     rep.cases = 1
-    sel = ctx.eps_set(gb, Strictness.STRICT)
+    sel = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
     if sel.entries:
         rep.non_vacuous = 1
     for x, g in sel.entries:
-        v = ctx.verdict(x, Kind.MULTI_SCENARIO, Strictness.STRICT, ctx.specs[1])
+        v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, ctx.specs[1], tol)
         if not v.efficient:
             rep.fail(inst, f"x={x} strictly eps-efficient for eps={_fmt_vec(gb.eps)} "
                            f"j={gb.j} but multi-scenario dominated by {v.witness.xprime}")
@@ -343,36 +304,38 @@ def _pb_image_nondominated(ctx: _Context, rep: CheckReport):
 @_check("remark_efficiency_implication_chain")
 def _implication_chain(ctx: _Context, rep: CheckReport):
     """Implications between the efficiency notions, per decision and family."""
+    inst, tol = ctx.inst, ctx.tol
     for spec in ctx.specs:
-        for x in ctx.inst.decisions:
+        for x in inst.decisions:
             rep.cases += 1
-            v = [ctx.verdict(x, kind, s, spec).efficient for kind, s in _CHAIN]
+            v = [maro_efficient(inst, x, kind, s, spec, tol).efficient for kind, s in _CHAIN]
             for label, pre, post in _IMPLICATIONS:
                 if v[pre] and not v[post]:
-                    rep.fail(ctx.inst, f"{label} broken for x={x}, "
-                                       f"family={spec.family.value}")
+                    rep.fail(inst, f"{label} broken for x={x}, "
+                                   f"family={spec.family.value}")
 
 
 @_check("remark_ws_bound")
 def _ws_bound(ctx: _Context, rep: CheckReport):
     """Weighted-sum guarantees really bound every scenario."""
+    inst, tol = ctx.inst, ctx.tol
     for lam in ctx.lams:
-        for x, g in ctx.ws_set(lam, Strictness.PLAIN).entries:
+        for x, g in ws_efficient_set(inst, lam, Strictness.PLAIN, tol).entries:
             rep.cases += 1
-            if not check_ws_bound(ctx.inst, x, lam, g, ctx.tol):
-                rep.fail(ctx.inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g.value:.17g}")
+            if not check_ws_bound(inst, x, lam, g, tol):
+                rep.fail(inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g.value:.17g}")
 
 
 @_check("remark_eps_bound")
 def _eps_bound(ctx: _Context, rep: CheckReport):
     """Finite constraint guarantees really bound every scenario."""
-    gb = ctx.gb
-    for x, g in ctx.eps_set(gb, Strictness.PLAIN).entries:
+    inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
+    for x, g in eps_efficient_set(inst, gb, Strictness.PLAIN, tol).entries:
         if g.value == INF:
             continue
         rep.cases += 1
-        if not check_eps_bound(ctx.inst, x, gb, g, ctx.tol):
-            rep.fail(ctx.inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g.value:.17g}")
+        if not check_eps_bound(inst, x, gb, g, tol):
+            rep.fail(inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g.value:.17g}")
 
 
 @_check("remark_pb_sandwich")
@@ -382,7 +345,7 @@ def _pb_sandwich(ctx: _Context, rep: CheckReport):
         rep.cases += 1
         lo, hi, holds = pb_trivial_bounds(ctx.inst, x, ctx.tol)
         if not holds:
-            rep.fail(ctx.inst, f"x={x}: {_fmt_vec(lo)} !<= {_fmt_vec(ctx.f_pb(x))} "
+            rep.fail(ctx.inst, f"x={x}: {_fmt_vec(lo)} !<= {_fmt_vec(f_pb(ctx.inst, x))} "
                                f"!<= {_fmt_vec(hi)}")
 
 
@@ -390,19 +353,19 @@ def _pb_sandwich(ctx: _Context, rep: CheckReport):
 def _singleton_recourse_coherence(ctx: _Context, rep: CheckReport):
     """Singleton recourse collapses the three-stage notions to the two-stage
     ones (upper/lower families); the weighted-minimum family implies them."""
-    inst = ctx.inst
+    inst, tol = ctx.inst, ctx.tol
     if not all(len(pts) == 1 for pts in inst.recourse.values()):
         return
     for x in inst.decisions:
         rep.cases += 1
         for kind, s in _CHAIN:
-            mro = mro_efficient(inst, x, kind, s, ctx.tol).efficient
+            mro = mro_efficient(inst, x, kind, s, tol).efficient
             for spec in ctx.specs[:2]:
-                maro = ctx.verdict(x, kind, s, spec).efficient
+                maro = maro_efficient(inst, x, kind, s, spec, tol).efficient
                 if maro != mro:
                     rep.fail(inst, f"x={x} {kind.value}/{s.value}: two-stage "
                                    f"{mro} vs three-stage[{spec.family.value}] {maro}")
-            if ctx.verdict(x, kind, s, ctx.specs[2]).efficient and not mro:
+            if maro_efficient(inst, x, kind, s, ctx.specs[2], tol).efficient and not mro:
                 rep.fail(inst, f"x={x} {kind.value}/{s.value}: weighted-minimum "
                                f"efficiency without two-stage efficiency")
 
@@ -410,17 +373,15 @@ def _singleton_recourse_coherence(ctx: _Context, rep: CheckReport):
 @_check("remark_single_scenario_coherence")
 def _single_scenario_coherence(ctx: _Context, rep: CheckReport):
     """One scenario collapses every notion to one set comparison."""
-    inst = ctx.inst
+    inst, tol = ctx.inst, ctx.tol
     if len(inst.scenarios) != 1:
         return
     for spec in ctx.specs:
         for x in inst.decisions:
             rep.cases += 1
             for kind, s in _CHAIN:
-                direct = single_scenario_efficient(
-                    inst, x, derived_set_relation(spec, s), ctx.tol
-                )
-                got = ctx.verdict(x, kind, s, spec).efficient
+                direct = single_scenario_efficient(inst, x, derived_set_relation(spec, s), tol)
+                got = maro_efficient(inst, x, kind, s, spec, tol).efficient
                 if got != direct:
                     rep.fail(inst, f"x={x} {kind.value}/{s.value} "
                                    f"family={spec.family.value}: {got} != {direct}")
@@ -440,56 +401,56 @@ def _front_reduction_invariance(ctx: _Context, rep: CheckReport):
     for x in inst.decisions:
         rep.cases += 1
         for lam in ctx.lams:
-            if not tol.eq(ctx.f_lambda(x, lam), f_lambda(reduced, x, lam)):
+            if not tol.eq(f_lambda(inst, x, lam), f_lambda(reduced, x, lam)):
                 rep.fail(inst, f"f_lambda changed for x={x}")
-        if not tol.eq(ctx.f_eps(x, gb), f_eps_j(reduced, x, gb, tol)):
+        if not tol.eq(f_eps_j(inst, x, gb, tol), f_eps_j(reduced, x, gb, tol)):
             rep.fail(inst, f"f_eps_j changed for x={x}")
-        if not _vec_eq(ctx.f_pb(x), f_pb(reduced, x), tol):
+        if not _vec_eq(f_pb(inst, x), f_pb(reduced, x), tol):
             rep.fail(inst, f"f_pb changed for x={x}")
 
 
 @_check("unit_weight_reduces_to_pb")
 def _unit_weight_reduces_to_pb(ctx: _Context, rep: CheckReport):
     """Unit weights reduce the weighted sum to one point-based component."""
-    n = ctx.inst.n
-    for x in ctx.inst.decisions:
+    inst = ctx.inst
+    for x in inst.decisions:
         rep.cases += 1
-        pb = ctx.f_pb(x)
-        for i in range(n):
-            e = Weight(tuple(1.0 if k == i else 0.0 for k in range(n)))
-            value = ctx.f_lambda(x, e)
+        pb = f_pb(inst, x)
+        for i in range(inst.n):
+            e = Weight(tuple(1.0 if k == i else 0.0 for k in range(inst.n)))
+            value = f_lambda(inst, x, e)
             if value != pb[i]:
-                rep.fail(ctx.inst, f"x={x} objective {i + 1}: unit-weight value "
-                                   f"{value:.17g} != {pb[i]:.17g}")
+                rep.fail(inst, f"x={x} objective {i + 1}: unit-weight value "
+                               f"{value:.17g} != {pb[i]:.17g}")
 
 
 @_check("eps_value_monotone")
 def _eps_value_monotone(ctx: _Context, rep: CheckReport):
     """Loosening the caps never worsens the constrained value."""
-    gb = ctx.gb
+    inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
     wider = GenBound(tuple(c + 2.0 for c in gb.eps), gb.j)
-    for x in ctx.inst.decisions:
+    for x in inst.decisions:
         rep.cases += 1
-        if not ctx.tol.leq(ctx.f_eps(x, wider), ctx.f_eps(x, gb)):
-            rep.fail(ctx.inst, f"x={x}: widening caps increased the value")
+        if not tol.leq(f_eps_j(inst, x, wider, tol), f_eps_j(inst, x, gb, tol)):
+            rep.fail(inst, f"x={x}: widening caps increased the value")
 
 
 @_check("witness_replay")
 def _witness_replay(ctx: _Context, rep: CheckReport):
     """Every negative verdict of the implication chain carries a witness
     that replays through an independent set comparison."""
-    inst = ctx.inst
+    inst, tol = ctx.inst, ctx.tol
     for spec in ctx.specs:
         for x in inst.decisions:
             for kind, s in _CHAIN:
-                verdict = ctx.verdict(x, kind, s, spec)
+                verdict = maro_efficient(inst, x, kind, s, spec, tol)
                 if verdict.efficient:
                     continue
                 rep.cases += 1
                 w = verdict.witness
                 if kind is Kind.FLIMSY and len(w.scenario_map) != len(inst.scenarios):
                     rep.fail(inst, f"flimsy witness for x={x} misses scenarios")
-                elif not _replay(inst, x, verdict, spec, s, ctx.tol):
+                elif not _replay(inst, x, verdict, spec, s, tol):
                     rep.fail(inst, f"witness ({w.xprime}) for x={x} "
                                    f"kind={kind.value} does not replay")
 
@@ -508,7 +469,7 @@ def _weak_flimsy_via_mco(ctx: _Context, rep: CheckReport):
         if not hits:
             continue
         rep.cases += 1
-        wf = ctx.verdict(x, Kind.FLIMSY, Strictness.WEAK, ctx.specs[1]).efficient
+        wf = maro_efficient(inst, x, Kind.FLIMSY, Strictness.WEAK, ctx.specs[1], tol).efficient
         key = "agree" if wf else "disagree"
         rep.notes[key] = rep.notes.get(key, 0) + 1
 
@@ -624,12 +585,11 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
 def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
                      tol: Tolerance = DEFAULT_TOL) -> dict:
     """Machine-readable side-by-side of the three concepts on one instance;
-    one context computes each scalar value of the selections once."""
-    ctx = _Context(inst, tol)
-    ws_plain = ctx.ws_set(lam, Strictness.PLAIN)
-    ws_strict = ctx.ws_set(lam, Strictness.STRICT)
-    eps_plain = ctx.eps_set(gb, Strictness.PLAIN)
-    eps_strict = ctx.eps_set(gb, Strictness.STRICT)
+    every part reads the memoized scalar values, so each is computed once."""
+    ws_plain = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
+    ws_strict = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
+    eps_plain = eps_efficient_set(inst, gb, Strictness.PLAIN, tol)
+    eps_strict = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
     ws_img = image_ws(inst, lam, tol)
     eps_img = image_eps(inst, gb, tol)
     pb_img = image_pb(inst, tol)
@@ -669,7 +629,7 @@ def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
             "strict": list(pb_efficient_set(inst, Strictness.STRICT, tol)),
             "plain": list(pb_efficient_set(inst, Strictness.PLAIN, tol)),
             "weak": list(pb_efficient_set(inst, Strictness.WEAK, tol)),
-            "value": {x: list(ctx.f_pb(x)) for x in inst.decisions},
+            "value": {x: list(f_pb(inst, x)) for x in inst.decisions},
             "trivial_bounds": {
                 x: {
                     "lo": list(lo), "hi": list(hi), "holds": holds,

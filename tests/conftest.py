@@ -7,6 +7,27 @@ hypothesis.settings.register_profile("suite", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("suite")
 
 
+class _RecordingCache(dict):
+    """An instance memo that logs every key it stores.  A key is stored
+    after each computation of its value, so a value computed twice is
+    logged twice."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def record_stores(inst) -> list:
+    """Give ``inst`` an empty recording memo; returns its log of stored keys."""
+    cache = _RecordingCache()
+    object.__setattr__(inst, "_cache", cache)
+    return cache.stored
+
+
 def int_vecs(n=2, lo=0, hi=12):
     return st.tuples(*[st.integers(lo, hi) for _ in range(n)]).map(
         lambda t: tuple(float(c) for c in t)

@@ -1,11 +1,17 @@
 """Command line surface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from maro import dump_instance, fixture
 from maro.cli import main
+
+from conftest import record_stores
 
 
 def run(capsys, *argv):
@@ -83,6 +89,22 @@ def test_solve_pb_matches_figure(tmp_path, capsys):
     assert doc["efficient"] == ["x1", "x2"]
     assert doc["fpb"]["x1"] == [1, 6]
     assert doc["fpb"]["x2"] == [8, 4]
+
+
+def test_solve_pb_computes_each_value_once(capsys, monkeypatch):
+    logs = []
+
+    def recording(name):
+        inst = fixture(name)
+        logs.append(record_stores(inst))
+        return inst
+
+    monkeypatch.setattr("maro.cli.fixture", recording)
+    code, out, _ = run(capsys, "solve-pb", "--fixture", "FIG6L")
+    assert code == 0 and json.loads(out)["efficient"]
+    (stored,) = logs
+    values = [key for key in stored if key[0] == "pb"]
+    assert sorted(values) == [("pb", x) for x in fixture("FIG6L").decisions]
 
 
 def test_solve_ws(capsys):
@@ -248,6 +270,65 @@ def test_image_requires_parameters(capsys):
     assert code == 2 and "--lambda or --grid-k" in err
     code, _, err = run(capsys, "image", "eps", "--fixture", "FIG2L", "--j", "1")
     assert code == 2 and "--eps" in err
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([[0, None]], "--eps-list[0][1]: expected a number, got null"),
+    ([[0, 6], [0, [7]]], "--eps-list[1][1]: expected a number, got [7]"),
+    ([["5", 6]], '--eps-list[0][0]: expected a number, got "5"'),
+    ([[0, True]], "--eps-list[0][1]: expected a number, got true"),
+    ([[0, 10**400]], "--eps-list[0][1]: integer too large for a float"),
+    ([[0, float("nan")]], "--eps-list[0][1]: expected a number, got NaN"),
+    ([[0, 6], [0]], "--eps-list[1]: expected 2 entries, got 1"),
+    ([[0, 6], {"eps": [0, 6]}], "--eps-list[1]: cannot interpret as a point"),
+    ([], "--eps-list: must be a non-empty array of length-2 arrays"),
+])
+def test_image_eps_list_rejects_non_numbers(tmp_path, capsys, entries, message):
+    eps_file = tmp_path / "eps.json"
+    eps_file.write_text(json.dumps(entries))
+    code, out, err = run(capsys, "image", "eps", "--fixture", "FIG2L",
+                         "--eps-list", str(eps_file), "--j", "1")
+    assert (code, out, err) == (2, "", f"maro: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("ws", "--grid-k", "0"), "resolution k >= 1"),
+    (("eps", "--eps", "0,6", "--j", "0"), "objective index must lie in 1..2, got 0"),
+])
+def test_image_zero_parameters_reach_range_checks(capsys, argv, message):
+    code, _, err = run(capsys, "image", *argv, "--fixture", "FIG2L")
+    assert code == 2 and err.startswith("maro: ") and message in err
+
+
+# arbitrary JSON, with integers past the float range, plus the array of
+# pairs both file readers expect filled with arbitrary JSON
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**1100), 2**1100) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["points", "point", "x"]), inner, max_size=2),
+    max_leaves=8,
+)
+_json_docs = _json | st.lists(st.lists(_json, min_size=2, max_size=2), max_size=3)
+
+
+def test_file_inputs_end_in_exit_0_or_2(tmp_path):
+    path = tmp_path / "doc.json"
+    commands = (["image", "eps", "--fixture", "FIG2L", "--j", "1", "--eps-list", str(path)],
+                ["plot", "--in", str(path)])
+
+    @given(doc=_json_docs)
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2)
+            if code == 2:
+                assert err.getvalue().startswith("maro: ")
+
+    check()
 
 
 def test_plot_from_image_output(tmp_path, capsys):

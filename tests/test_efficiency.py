@@ -50,6 +50,7 @@ def test_fig2_right_x1_dominated_by_x2():
     assert not v.efficient
     assert v.witness.xprime == "x2"
     assert dict(v.witness.scenario_map) == {"u1": "x2", "u2": "x2"}
+    assert maro_efficient(inst, "x2", Kind.MULTI_SCENARIO, Strictness.STRICT, LOWER).efficient
 
 
 def test_single_decision_is_always_efficient():
@@ -86,8 +87,9 @@ def test_fig2_left_smaro_keeps_only_x2():
 
 
 def test_fig2_right_smaro_contains_x1():
+    # the nesting set keeps x1 although x2 beats it in every scenario
     res = smaro_set(fixture("FIG2R"))
-    assert "x1" in res.decisions
+    assert res.decisions == ("x1", "x2")
     assert (3.0, 7.0) in res.front.points
 
 
@@ -247,3 +249,47 @@ def test_mro_decides_without_set_relations(monkeypatch):
         mro_efficient(inst, "a", kind, s)
     v = mro_efficient(inst, "a", Kind.MULTI_SCENARIO, Strictness.PLAIN)
     assert v.witness == efficiency.Witness("b", (("u", "b"), ("v", "b")))
+
+
+def _memo_instance():
+    return make_instance("memo", 2, ["x1", "x2"], ["u1", "u2"], {
+        "x1": {"u1": [(1.0, 1.0)], "u2": [(3.0, 0.0)]},
+        "x2": {"u1": [(0.9, 0.95)], "u2": [(0.0, 3.0)]},
+    })
+
+
+def test_memoized_verdicts_match_a_fresh_instance():
+    # calls that differ in one argument only share an instance, so a memo
+    # key missing that argument would return the other call's verdict
+    lmin_1 = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=(1.0, 0.0))
+    lmin_2 = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=(0.0, 1.0))
+    calls = [
+        ("x1", Kind.HIGHLY, Strictness.WEAK, LOWER, 0.0),
+        ("x1", Kind.HIGHLY, Strictness.WEAK, LOWER, 0.5),
+        ("x1", Kind.HIGHLY, Strictness.STRICT, LOWER, 0.5),
+        ("x1", Kind.FLIMSY, Strictness.WEAK, LOWER, 0.0),
+        ("x2", Kind.HIGHLY, Strictness.WEAK, LOWER, 0.0),
+        ("x1", Kind.FLIMSY, Strictness.STRICT, lmin_1, 0.0),
+        ("x1", Kind.FLIMSY, Strictness.STRICT, lmin_2, 0.0),
+    ]
+    shared = _memo_instance()
+    got = [maro_efficient(shared, x, kind, s, spec, Tolerance(tau))
+           for x, kind, s, spec, tau in calls]
+    assert got == [maro_efficient(_memo_instance(), x, kind, s, spec, Tolerance(tau))
+                   for x, kind, s, spec, tau in calls]
+    assert [v.efficient for v in got] == [False, True, False, True, True, False, True]
+
+
+def test_memoized_verdicts_raise_again():
+    shared = _memo_instance()
+    bad = [
+        ("x9", Kind.FLIMSY, Strictness.STRICT, LOWER, InstanceError),
+        ("x1", Kind.FLIMSY, Strictness.PLAIN, LOWER, ValueError),
+        ("x1", Kind.MULTI_SCENARIO, Strictness.WEAK, LOWER, ValueError),
+        ("x1", Kind.FLIMSY, Strictness.STRICT,
+         SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=(1.0, 1.0, 1.0)), ValueError),
+    ]
+    for _ in range(2):
+        for x, kind, s, spec, error in bad:
+            with pytest.raises(error):
+                maro_efficient(shared, x, kind, s, spec)

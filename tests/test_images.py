@@ -55,18 +55,20 @@ def test_image_ws_grid_tags_weights():
 
 
 def test_fig3s_grid_image_contains_strictly_dominated_point():
+    # so the weighted-sum image is no Pareto front
     tagged = image_ws_grid(fixture("FIG3S"), WeightGrid(2, 100))
     pts = sorted({p for _, p in tagged})
-    assert any(
-        any(q != p and vec_cmp(q, p, VecRel.LT) for q in pts) for p in pts
-    )
+    dominated = [p for p in pts if any(q != p and vec_cmp(q, p, VecRel.LT) for q in pts)]
+    assert (len(pts), len(dominated)) == (51, 27)
 
 
 def test_fig3s_gap_surrogate_fires():
     gaps = ws_image_gaps(fixture("FIG3S"), WeightGrid(2, 100))
-    assert gaps
-    diameter_frac = max(g.distance for g in gaps)
-    assert diameter_frac > 0
+    assert [(g.lam, g.a, g.b) for g in gaps] == [
+        ((0.51, 0.49), (2.3, 5.6959375), (4.2, pytest.approx(3.784))),
+        ((0.5, 0.5), (2.5, 5.5234375), (4.4, pytest.approx(3.544888888888888))),
+    ]
+    assert [round(g.distance, 2) for g in gaps] == [2.70, 2.74]
 
 
 def test_image_eps_examples():

@@ -13,6 +13,7 @@ from maro import (
     GenConfig,
     INF,
     Instance,
+    InstanceError,
     Strictness,
     Tolerance,
     Weight,
@@ -268,3 +269,47 @@ def test_signed_zero_values_do_not_depend_on_point_order():
                      Instance("z", 2, ("x",), ("u",), {("x", "u"): tuple(pts)})):
             assert repr(f_pb(inst, "x")) == "(0.0, 0.5)"
             assert repr(f_eps_j(inst, "x", gb)) == "0.0"
+
+
+def _memo_instance():
+    return make_instance("memo", 2, ["x1", "x2"], ["u1", "u2"], {
+        "x1": {"u1": [(1.0, 5.0), (0.0, 5.3)], "u2": [(0.5, 1.0)]},
+        "x2": {"u1": [(3.0, 0.0)], "u2": [(0.5, 4.0), (1.5, 2.0)]},
+    })
+
+
+def test_memoized_values_match_a_fresh_instance():
+    # calls that differ in one argument only share an instance, so a memo
+    # key missing that argument would return the other call's value
+    calls = [
+        (f_eps_j, "x1", GenBound((0.0, 5.0), 1), Tolerance(0.0)),
+        (f_eps_j, "x1", GenBound((0.0, 5.0), 1), Tolerance(0.5)),
+        (f_eps_j, "x1", GenBound((0.0, 5.4), 1), Tolerance(0.0)),
+        (f_eps_j, "x1", GenBound((0.0, 5.0), 2), Tolerance(0.0)),
+        (f_eps_j, "x2", GenBound((0.0, 5.0), 1), Tolerance(0.0)),
+        (f_lambda, "x1", Weight((1.0, 0.0))),
+        (f_lambda, "x1", Weight((0.0, 1.0))),
+        (f_lambda, "x2", Weight((0.0, 1.0))),
+        (f_pb, "x1"),
+        (f_pb, "x2"),
+    ]
+    shared = _memo_instance()
+    got = [fn(shared, *args) for fn, *args in calls]
+    assert got == [fn(_memo_instance(), *args) for fn, *args in calls]
+    assert got == [1.0, 0.5, 0.5, INF, 3.0, 0.5, 5.0, 2.0, (0.5, 5.0), (3.0, 2.0)]
+    assert got == [fn(shared, *args) for fn, *args in calls]
+
+
+def test_memoized_values_raise_again():
+    shared = _memo_instance()
+    bad = [
+        (f_lambda, "x1", Weight((0.5, 0.25, 0.25))),
+        (f_lambda, "x9", HALF),
+        (f_eps_j, "x1", GenBound((0.0, 5.0, 1.0), 1)),
+        (f_eps_j, "x9", GenBound((0.0, 5.0), 1)),
+        (f_pb, "x9"),
+    ]
+    for _ in range(2):
+        for fn, *args in bad:
+            with pytest.raises(InstanceError):
+                fn(shared, *args)

@@ -28,6 +28,8 @@ from maro import (
 )
 from maro.verify import ALL_CHECKS
 
+from conftest import record_stores
+
 HALF = Weight((0.5, 0.5))
 
 
@@ -179,6 +181,8 @@ def test_compare_concepts_fig2l_all_select_x2():
 
 
 def test_compare_concepts_fig6_separations():
+    # (weighted-sum set, constraint set) at the frozen separating parameters
+    sets = {"FIG6L": (["x2"], ["x1"]), "FIG6R": (["x1"], ["x2"])}
     for name in ("FIG6L", "FIG6R"):
         sep = fixture_meta(name)["separation"]
         table = compare_concepts(
@@ -186,6 +190,7 @@ def test_compare_concepts_fig6_separations():
         )
         assert ("x1" in table["constraint"]["plain"]) == sep["eps_efficient"]
         assert ("x1" in table["weighted_sum"]["plain"]) == sep["ws_efficient"]
+        assert (table["weighted_sum"]["plain"], table["constraint"]["plain"]) == sets[name]
 
 
 def test_fig6_separation_rederived_on_small_grid():
@@ -241,35 +246,30 @@ def test_selected_check_computes_no_verdicts(monkeypatch):
 def test_battery_computes_each_verdict_once(monkeypatch):
     import maro.verify
 
-    seen = []
-    real = maro.verify.maro_efficient
+    logs = []
+    real = maro.verify.generate
 
-    def counting(inst, x, kind, strictness, spec, tol):
-        seen.append((inst.name, x, kind, strictness, spec))
-        return real(inst, x, kind, strictness, spec, tol)
+    def recording(cfg):
+        inst = real(cfg)
+        logs.append(record_stores(inst))
+        return inst
 
-    monkeypatch.setattr("maro.verify.maro_efficient", counting)
+    monkeypatch.setattr("maro.verify.generate", recording)
     assert run_battery(29, 12).passed
-    assert seen and len(seen) == len(set(seen))
+    assert len(logs) == 12
+    for stored in logs:
+        verdicts = [key for key in stored if key[0] == "verdict"]
+        assert verdicts and len(verdicts) == len(set(verdicts))
 
 
-def test_compare_computes_each_selection_value_once(monkeypatch):
-    import maro.verify
-
-    seen = []
-
-    def counting(name):
-        real = getattr(maro.verify, name)
-
-        def wrapper(inst, x, *rest):
-            seen.append((name, x))
-            return real(inst, x, *rest)
-        return wrapper
-
-    for name in ("f_lambda", "f_eps_j"):
-        monkeypatch.setattr(f"maro.verify.{name}", counting(name))
+def test_compare_computes_each_selection_value_once():
+    # the selections, the three images, the bound checks and the point-based
+    # values all read one memo: each scalar value is computed once
     inst = fixture("FIG6L")
+    stored = record_stores(inst)
     table = compare_concepts(inst, HALF, GenBound((0.0, 5.0), 1))
     assert table["weighted_sum"]["plain"] and table["constraint"]["plain"]
-    assert sorted(seen) == sorted((name, x) for name in ("f_lambda", "f_eps_j")
-                                  for x in inst.decisions)
+    assert table["weighted_sum"]["image"] and table["point_based"]["image"]
+    values = [key[:2] for key in stored if key[0] in ("ws", "eps", "pb")]
+    assert sorted(values) == sorted((name, x) for name in ("ws", "eps", "pb")
+                                    for x in inst.decisions)
