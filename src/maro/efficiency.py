@@ -39,11 +39,17 @@ class Kind(Enum):
     MULTI_SCENARIO = "multi-scenario"
     POINT_BASED = "point-based"
 
+    # members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call on every memo-key lookup, object's is not
+    __hash__ = object.__hash__
+
 
 class Strictness(Enum):
     STRICT = "strict"
     PLAIN = "plain"
     WEAK = "weak"
+
+    __hash__ = object.__hash__  # as in Kind
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ point-based image collects the point-based values of the efficient set.
 The weight simplex is sampled by a uniform lattice of resolution ``k``
 (all coordinate multiples of 1/k); the constraint side takes an explicit
 list of generating bounds.
+
+``compare_concepts`` sets the three concepts side by side on one instance:
+efficient sets, guarantees, bound checks and images.
 """
 
 from __future__ import annotations
@@ -19,14 +22,17 @@ from functools import cached_property
 
 from .efficiency import Strictness
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec
-from .relations import Weight, dot, weighted_min
+from .relations import VecRel, Weight, dot, vec_cmp, weighted_min
 from .scalarize import (
     GenBound,
     _front,
+    check_eps_bound,
+    check_ws_bound,
     eps_efficient_set,
     f_eps_j,
     f_pb,
     pb_efficient_set,
+    pb_trivial_bounds,
     ws_efficient_set,
 )
 
@@ -202,9 +208,79 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
     return tuple(gaps)
 
 
+def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
+                     tol: Tolerance = DEFAULT_TOL) -> dict:
+    """Machine-readable side-by-side of the three concepts on one instance;
+    every part reads the memoized scalar values, so each is computed once."""
+    ws_plain = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
+    ws_strict = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
+    eps_plain = eps_efficient_set(inst, gb, Strictness.PLAIN, tol)
+    eps_strict = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
+    ws_img = image_ws(inst, lam, tol)
+    eps_img = image_eps(inst, gb, tol)
+    pb_img = image_pb(inst, tol)
+    return {
+        "instance": inst.name,
+        "lambda": list(lam.values),
+        "eps": list(gb.eps),
+        "j": gb.j,
+        "weighted_sum": {
+            "plain": list(ws_plain.decisions),
+            "strict": list(ws_strict.decisions),
+            "strict_empty_tie": ws_strict.strict_empty_tie,
+            "guarantee": {x: g.value for x, g in ws_plain.entries},
+            "bounds_hold": all(
+                check_ws_bound(inst, x, lam, g, tol) for x, g in ws_plain.entries
+            ),
+            "image": [list(p) for p in ws_img],
+            "image_weakly_nondominated": not any(
+                p != q and vec_cmp(q, p, VecRel.LT, tol)
+                for p in ws_img for q in ws_img
+            ),
+        },
+        "constraint": {
+            "plain": list(eps_plain.decisions),
+            "strict": list(eps_strict.decisions),
+            "strict_empty_tie": eps_strict.strict_empty_tie,
+            "infeasible": eps_plain.infeasible,
+            "guarantee": {x: g.value for x, g in eps_plain.entries},
+            "bounds_hold": all(
+                check_eps_bound(inst, x, gb, g, tol)
+                for x, g in eps_plain.entries if g.value != INF
+            ),
+            "image": list(eps_img.point),
+            "image_feasible": eps_img.feasible,
+        },
+        "point_based": {
+            "strict": list(pb_efficient_set(inst, Strictness.STRICT, tol)),
+            "plain": list(pb_efficient_set(inst, Strictness.PLAIN, tol)),
+            "weak": list(pb_efficient_set(inst, Strictness.WEAK, tol)),
+            "value": {x: list(f_pb(inst, x)) for x in inst.decisions},
+            "trivial_bounds": {
+                x: {
+                    "lo": list(lo), "hi": list(hi), "holds": holds,
+                }
+                for x in inst.decisions
+                for lo, hi, holds in [pb_trivial_bounds(inst, x, tol)]
+            },
+            "image": [list(p) for p in pb_img],
+            "image_nondominated": not any(
+                p != q and vec_cmp(q, p, VecRel.LEQ, tol)
+                for p in pb_img for q in pb_img
+            ),
+        },
+    }
+
+
 def _svg_coord(v: float, lo: float, hi: float, size: float, margin: float,
                flip: bool) -> float:
-    t = 0.5 if hi == lo else (v - lo) / (hi - lo)
+    if hi == lo:
+        t = 0.5
+    elif math.isfinite(hi - lo):
+        t = (v - lo) / (hi - lo)
+    else:
+        # the range exceeds the float range; halving every term keeps it finite
+        t = (v / 2 - lo / 2) / (hi / 2 - lo / 2)
     if flip:
         t = 1.0 - t
     return margin + t * (size - 2 * margin)

@@ -37,6 +37,10 @@ class SetRelFamily(Enum):
     LOWER = "l"
     LAMBDA_MIN = "lmin"
 
+    # members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call on every memo-key lookup, object's is not
+    __hash__ = object.__hash__
+
 
 def _check_lam(lam: Vec):
     if not all(map(math.isfinite, lam)):

@@ -20,7 +20,7 @@ from .efficiency import (
     maro_efficient,
     mro_efficient,
 )
-from .images import BoundGrid, image_eps, image_eps_grid, image_pb, image_ws, simplex_grid
+from .images import BoundGrid, image_eps_grid, image_pb, simplex_grid
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, make_instance
 from .pareto import Orientation, inner_efficient, nondominated
 from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp, vec_cmp
@@ -32,7 +32,6 @@ from .scalarize import (
     f_eps_j,
     f_lambda,
     f_pb,
-    pb_efficient_set,
     pb_trivial_bounds,
     ws_efficient_set,
 )
@@ -580,67 +579,3 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
         for cid in selected:
             merged[cid].merge(_run_check(cid, ctx))
     return BatteryReport(seed, count, jitter, merged)
-
-
-def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
-                     tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Machine-readable side-by-side of the three concepts on one instance;
-    every part reads the memoized scalar values, so each is computed once."""
-    ws_plain = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
-    ws_strict = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
-    eps_plain = eps_efficient_set(inst, gb, Strictness.PLAIN, tol)
-    eps_strict = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
-    ws_img = image_ws(inst, lam, tol)
-    eps_img = image_eps(inst, gb, tol)
-    pb_img = image_pb(inst, tol)
-    return {
-        "instance": inst.name,
-        "lambda": list(lam.values),
-        "eps": list(gb.eps),
-        "j": gb.j,
-        "weighted_sum": {
-            "plain": list(ws_plain.decisions),
-            "strict": list(ws_strict.decisions),
-            "strict_empty_tie": ws_strict.strict_empty_tie,
-            "guarantee": {x: g.value for x, g in ws_plain.entries},
-            "bounds_hold": all(
-                check_ws_bound(inst, x, lam, g, tol) for x, g in ws_plain.entries
-            ),
-            "image": [list(p) for p in ws_img],
-            "image_weakly_nondominated": not any(
-                p != q and vec_cmp(q, p, VecRel.LT, tol)
-                for p in ws_img for q in ws_img
-            ),
-        },
-        "constraint": {
-            "plain": list(eps_plain.decisions),
-            "strict": list(eps_strict.decisions),
-            "strict_empty_tie": eps_strict.strict_empty_tie,
-            "infeasible": eps_plain.infeasible,
-            "guarantee": {x: g.value for x, g in eps_plain.entries},
-            "bounds_hold": all(
-                check_eps_bound(inst, x, gb, g, tol)
-                for x, g in eps_plain.entries if g.value != INF
-            ),
-            "image": list(eps_img.point),
-            "image_feasible": eps_img.feasible,
-        },
-        "point_based": {
-            "strict": list(pb_efficient_set(inst, Strictness.STRICT, tol)),
-            "plain": list(pb_efficient_set(inst, Strictness.PLAIN, tol)),
-            "weak": list(pb_efficient_set(inst, Strictness.WEAK, tol)),
-            "value": {x: list(f_pb(inst, x)) for x in inst.decisions},
-            "trivial_bounds": {
-                x: {
-                    "lo": list(lo), "hi": list(hi), "holds": holds,
-                }
-                for x in inst.decisions
-                for lo, hi, holds in [pb_trivial_bounds(inst, x, tol)]
-            },
-            "image": [list(p) for p in pb_img],
-            "image_nondominated": not any(
-                p != q and vec_cmp(q, p, VecRel.LEQ, tol)
-                for p in pb_img for q in pb_img
-            ),
-        },
-    }

@@ -1,15 +1,21 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from maro import dump_instance, fixture
-from maro.cli import main
+import maro
+from maro import Kind, dump_instance, fixture
+from maro.cli import build_parser, main
 
 from conftest import record_stores
 
@@ -343,6 +349,16 @@ def test_plot_from_image_output(tmp_path, capsys):
     assert "wrote" in err
 
 
+def test_plot_range_beyond_the_float_range(tmp_path, capsys):
+    src = tmp_path / "wide.json"
+    src.write_text("[[1e308, 0], [-1e308, 1]]")
+    code, out, _ = run(capsys, "plot", "--in", str(src))
+    assert code == 0 and "nan" not in out
+    coords = [float(c) for c in re.findall(r'c[xy]="([^"]*)"', out)]
+    assert len(coords) == 4 and all(40 <= c <= 760 for c in coords)
+    assert sorted(coords) == [40, 40, 760, 760]
+
+
 def test_plot_direct_and_stdout(capsys):
     code, out, _ = run(capsys, "plot", "--fixture", "FIG4", "--what", "pb", "--connect")
     assert code == 0 and out.startswith("<svg")
@@ -412,3 +428,122 @@ def test_tolerance_flag(capsys):
     assert code == 0
     assert doc["efficient"] == [] and doc["strict_empty_tie"] is True
     assert doc["plain_guarantee"] == 5
+
+
+# -- import footprint: each subcommand loads only the modules it runs --------
+
+# the package surface, by defining module, as the eager package init exported it
+SURFACE = {
+    "efficiency": ("Kind", "SmaroResult", "Strictness", "Verdict", "Witness",
+                   "maro_efficient", "mro_efficient", "smaro_set"),
+    "fixtures": ("FIXTURE_NAMES", "fixture", "fixture_meta"),
+    "images": ("BoundGrid", "EpsGridImage", "EpsImagePoint", "WeightGrid",
+               "compare_concepts", "image_eps", "image_eps_grid", "image_pb",
+               "image_ws", "image_ws_grid", "render_svg", "simplex_grid",
+               "ws_image_gaps"),
+    "instances": ("DEFAULT_TOL", "INF", "Instance", "InstanceError", "Tolerance",
+                  "Vec", "dump_instance", "load_instance", "make_instance"),
+    "pareto": ("FrontSet", "Orientation", "ideal", "inner_efficient", "nondominated"),
+    "relations": ("SetRelFamily", "SetRelSpec", "VecRel", "Weight", "parse_relation",
+                  "set_cmp", "vec_cmp"),
+    "scalarize": ("GenBound", "Guarantee", "Selection", "check_eps_bound",
+                  "check_ws_bound", "eps_efficient_set", "f_eps_j", "f_lambda",
+                  "f_pb", "pb_efficient_set", "pb_trivial_bounds", "ws_efficient_set"),
+    "verify": ("BatteryReport", "CheckReport", "GenConfig", "check_lemmas_and_remarks",
+               "check_thm_eps_implies_ms_lower", "check_thm_eps_switch",
+               "check_thm_ws_implies_ms", "generate", "run_battery"),
+}
+
+_SRC = os.path.dirname(os.path.dirname(maro.__file__))
+
+
+def _child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports maro from this tree."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return proc.stdout
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from maro import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'maro']))\n"
+    )
+    return set(json.loads(_child(code)))
+
+
+_FIG2L = ["--fixture", "FIG2L"]
+
+
+@pytest.mark.parametrize("argv", [["validate", *_FIG2L], ["fixtures"]])
+def test_instance_commands_load_only_instances_and_fixtures(argv):
+    assert _modules_after(argv) == {"maro", "maro.cli", "maro.instances", "maro.fixtures"}
+
+
+def test_efficiency_loads_no_scalar_concepts():
+    loaded = _modules_after(["efficiency", *_FIG2L, "--x", "x1", "--kind", "flimsy"])
+    assert "maro.efficiency" in loaded
+    assert not loaded & {"maro.scalarize", "maro.images", "maro.verify"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-ws", *_FIG2L, "--lambda", "0.5,0.5"],
+    ["solve-eps", *_FIG2L, "--eps", "_,7", "--j", "1"],
+    ["solve-pb", *_FIG2L],
+    ["image", "ws", *_FIG2L, "--grid-k", "4"],
+    ["plot", *_FIG2L, "--what", "pb"],
+    ["compare", *_FIG2L, "--lambda", "0.5,0.5", "--eps", "_,7", "--j", "1"],
+])
+def test_concept_commands_do_not_load_the_harness(argv):
+    loaded = _modules_after(argv)
+    assert "maro.scalarize" in loaded and "maro.verify" not in loaded
+
+
+def test_package_surface_is_pinned():
+    names = [name for names in SURFACE.values() for name in names]
+    assert maro.__all__ == sorted([*names, *SURFACE])
+    assert len(maro.__all__) == 74
+    for module, names in SURFACE.items():
+        home = importlib.import_module(f"maro.{module}")
+        assert getattr(maro, module) is home
+        for name in names:
+            assert getattr(maro, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir():
+    namespace = {}
+    exec("from maro import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(maro.__all__)
+    assert set(maro.__all__) <= set(dir(maro))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(maro, "nope")
+
+
+def test_import_maro_loads_no_submodule():
+    loaded = _child("import json, sys, maro\n"
+                    "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'maro']))")
+    assert json.loads(loaded) == ["maro"]
+
+
+def test_package_does_not_keep_a_temporary_wrapper():
+    # a binding replaced by a wrapper (as a tracer does) is read through the
+    # module while it lasts and not stored in the package
+    code = (
+        "import functools, maro, maro.scalarize as s\n"
+        "orig = s.f_pb\n"
+        "s.f_pb = functools.wraps(orig)(lambda *a: orig(*a))\n"
+        "during = maro.f_pb is s.f_pb\n"
+        "s.f_pb = orig\n"
+        "print(during, maro.f_pb is orig, 'f_pb' in vars(maro))\n"
+    )
+    assert _child(code).split() == ["True", "True", "True"]
+
+
+def test_kind_choices_match_the_enum():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    kind = next(a for a in sub.choices["efficiency"]._actions if a.dest == "kind")
+    assert list(kind.choices) == [k.value for k in Kind]
