@@ -53,10 +53,7 @@ def _add_instance_args(p: argparse.ArgumentParser):
 def _load(args) -> tuple[Instance, Tolerance]:
     if bool(args.instance) == bool(args.fixture):
         raise UsageError("exactly one of --instance or --fixture is required")
-    try:
-        tol = Tolerance(args.tol)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    tol = Tolerance(args.tol)
     if args.fixture:
         return fixture(args.fixture), tol
     try:
@@ -145,10 +142,7 @@ def _cmd_efficiency(args) -> int:
     # an explicit choice it cannot honour from the three-stage defaults
     strictness = Strictness(args.strictness or "strict")
     rel_text = "l" if args.rel is None else args.rel
-    try:
-        rel = parse_relation(rel_text)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    rel = parse_relation(rel_text)
     kind = Kind(args.kind)
     if args.mro:
         if args.rel is not None:
@@ -165,6 +159,9 @@ def _cmd_efficiency(args) -> int:
         if isinstance(rel, VecRel):
             raise UsageError("vector relations apply to --mro checks; "
                              "three-stage notions need u, l, or lmin:<csv>")
+        if rel.strict:
+            raise UsageError(f"--rel {args.rel}: three-stage checks take the relation's "
+                             f"strictness from the notion; drop the -strict suffix")
         if kind is Kind.POINT_BASED:
             raise UsageError("point-based is a two-stage notion; add --mro "
                              "or use solve-pb")
@@ -210,11 +207,7 @@ def _cmd_solve_eps(args) -> int:
     from .scalarize import GenBound, eps_efficient_set
 
     inst, tol = _load(args)
-    eps = _parse_eps(args.eps, args.j)
-    try:
-        gb = GenBound(eps, args.j)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    gb = GenBound(_parse_eps(args.eps, args.j), args.j)
     sel = eps_efficient_set(inst, gb, Strictness(args.strictness), tol)
     _emit_json({
         "concept": "eps",
@@ -368,10 +361,7 @@ def _cmd_plot(args) -> int:
             datasets.append(("eps", [one.point]))
         else:
             raise UsageError("plot needs --in FILE or --what ws|eps|pb")
-    try:
-        svg = render_svg(datasets, connect=args.connect)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    svg = render_svg(datasets, connect=args.connect)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -384,11 +374,8 @@ def _cmd_plot(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_battery
 
-    try:
-        report = run_battery(args.seed, args.count, args.check or None,
-                             jitter=args.jitter, tol=Tolerance(args.tol))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    report = run_battery(args.seed, args.count, args.check or None,
+                         jitter=args.jitter, tol=Tolerance(args.tol))
     sys.stdout.write(report.to_json())
     return 0 if report.passed else 1
 
@@ -409,32 +396,26 @@ def _cmd_compare(args) -> int:
 
 
 def _compare_md(t: dict) -> str:
-    def fmt(v):
-        if isinstance(v, float) and math.isinf(v):
-            return "+inf" if v > 0 else "-inf"
-        return v
-
     ws, eps, pb = t["weighted_sum"], t["constraint"], t["point_based"]
     rows = [
         ("efficient (plain)", ws["plain"], eps["plain"], pb["plain"]),
         ("efficient (strict)", ws["strict"], eps["strict"], pb["strict"]),
-        ("guarantee", {k: fmt(v) for k, v in ws["guarantee"].items()},
-         {k: fmt(v) for k, v in eps["guarantee"].items()}, "trivial bounds only"),
+        ("guarantee", ws["guarantee"], eps["guarantee"], "trivial bounds only"),
         ("bounds hold", ws["bounds_hold"], eps["bounds_hold"], "-"),
-        ("image", ws["image"], fmt(eps["image"]), pb["image"]),
+        ("image", ws["image"], eps["image"], pb["image"]),
         ("image nondominance", ws["image_weakly_nondominated"],
          "weakly nondominated by construction", pb["image_nondominated"]),
     ]
     lines = [
         f"# Concept comparison on {t['instance']}",
         "",
-        f"lambda = {t['lambda']}, eps = {[fmt(v) for v in t['eps']]}, j = {t['j']}",
+        f"lambda = {t['lambda']}, eps = {_jsonable(t['eps'])}, j = {t['j']}",
         "",
         "| property | weighted sum | constraint | point-based |",
         "|---|---|---|---|",
     ]
     for name, a, b, c in rows:
-        lines.append(f"| {name} | {fmt(a)} | {fmt(b)} | {fmt(c)} |")
+        lines.append(f"| {name} | {_jsonable(a)} | {_jsonable(b)} | {_jsonable(c)} |")
     return "\n".join(lines) + "\n"
 
 
@@ -466,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weak", dest="strictness", action="store_const", const="weak")
     g.add_argument("--plain", dest="strictness", action="store_const", const="plain")
     p.add_argument("--rel",
-                   help="relation selector: u[-strict], l[-strict], "
-                        "lmin[-strict]:<csv> (default l), or leqq/leq/lt with --mro")
+                   help="set relation u, l or lmin:<csv> (default l), whose strictness "
+                        "follows the notion; with --mro, leqq, leq or lt")
     p.add_argument("--mro", action="store_true",
                    help="evaluate the two-stage robust notion (singleton recourse)")
     p.set_defaults(fn=_cmd_efficiency)

@@ -22,10 +22,10 @@ from functools import cached_property
 
 from .efficiency import Strictness
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec
-from .relations import VecRel, Weight, dot, vec_cmp, weighted_min
+from .relations import VecRel, Weight, dot, vec_cmp
 from .scalarize import (
     GenBound,
-    _front,
+    _ws_minima,
     check_eps_bound,
     check_ws_bound,
     eps_efficient_set,
@@ -94,8 +94,7 @@ def image_ws(inst: Instance, lam: Weight, tol: Tolerance = DEFAULT_TOL) -> tuple
     sel = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
     out: set[Vec] = set()
     for x, g in sel.entries:
-        per_u = {u: weighted_min(_front(inst, x, u), lam.values) for u in inst.scenarios}
-        for u, m in per_u.items():
+        for u, m in zip(inst.scenarios, _ws_minima(inst, x, lam)):
             if not tol.eq(m, g.value):
                 continue
             for p in inst.points(x, u):
@@ -193,8 +192,7 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
         sel = ws_efficient_set(inst, w, Strictness.PLAIN, tol)
         pts: set[Vec] = set()
         for x, g in sel.entries:
-            for u in inst.scenarios:
-                m = weighted_min(_front(inst, x, u), w.values)
+            for u, m in zip(inst.scenarios, _ws_minima(inst, x, w)):
                 if m < g.value - tie:
                     continue
                 for p in inst.points(x, u):

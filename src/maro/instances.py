@@ -192,7 +192,9 @@ def _require(cond: bool, path: str, msg: str):
 def load_instance(text: str) -> Instance:
     """Parse and validate the JSON instance schema.
 
-    Every violation is reported with the offending document path.
+    Every violation is reported with the offending document path.  Shape
+    errors come first, in document order; :class:`Instance` then checks the
+    instance rules (positive ``n``, distinct identifiers, complete recourse).
     """
     try:
         doc = json.loads(text)
@@ -217,40 +219,33 @@ def load_instance(text: str) -> Instance:
     sampled = doc.get("sampled", False)
     _require(isinstance(sampled, bool), "sampled", "must be a boolean")
 
-    n = doc["n"]
+    decisions, scenarios = set(doc["decisions"]), set(doc["scenarios"])
     recourse = {}
     for x, by_u in doc["recourse"].items():
-        _require(x in doc["decisions"], f"recourse.{x}", "not a declared decision")
+        _require(x in decisions, f"recourse.{x}", "not a declared decision")
         _require(isinstance(by_u, dict), f"recourse.{x}", "must be an object")
         for u, pts in by_u.items():
             path = f"recourse.{x}.{u}"
-            _require(u in doc["scenarios"], path, "not a declared scenario")
+            _require(u in scenarios, path, "not a declared scenario")
             _require(isinstance(pts, list), path, "must be an array of points")
-            _require(len(pts) > 0, path, f"empty recourse set at ({x},{u})")
+            points = []
             for i, p in enumerate(pts):
-                _require(isinstance(p, list), f"{path}[{i}]", "point must be an array")
-                _require(
-                    len(p) == n, f"{path}[{i}]", f"expected {n} objectives, got {len(p)}"
-                )
+                if not isinstance(p, list):
+                    raise InstanceError(f"{path}[{i}]: point must be an array")
                 for c in p:
-                    _require(
-                        isinstance(c, (int, float)) and not isinstance(c, bool),
-                        f"{path}[{i}]",
-                        f"coordinates must be numbers, got {c!r}",
-                    )
-                    try:
-                        finite = math.isfinite(c)
-                    except OverflowError:
-                        raise InstanceError(f"{path}[{i}]: integer coordinate too large "
-                                            f"for a float") from None
-                    _require(finite, f"{path}[{i}]", f"non-finite entry {c!r}")
-            recourse[(x, u)] = tuple(tuple(float(c) for c in p) for p in pts)
-    for x in doc["decisions"]:
-        for u in doc["scenarios"]:
-            _require((x, u) in recourse, f"recourse.{x}.{u}", f"missing recourse set at ({x},{u})")
+                    # a JSON number parses to exactly int or float, true/false to bool
+                    if type(c) not in (int, float):
+                        raise InstanceError(f"{path}[{i}]: coordinates must be numbers, "
+                                            f"got {c!r}")
+                try:
+                    points.append(tuple(map(float, p)))
+                except OverflowError:
+                    raise InstanceError(f"{path}[{i}]: integer coordinate too large "
+                                        f"for a float") from None
+            recourse[(x, u)] = tuple(points)
     return Instance(
         name=doc["name"],
-        n=n,
+        n=doc["n"],
         decisions=tuple(doc["decisions"]),
         scenarios=tuple(doc["scenarios"]),
         recourse=recourse,

@@ -20,10 +20,11 @@ non-negative and float ``*``, ``+`` and ``-`` round monotonically, so
 ``p_k <= q_k``: each minimum is the same float and each test the same
 boolean as over all points.  The front is taken at tau = 0, never at the
 caller's tolerance, because a tau-front may drop a point better by up to
-tau.  Fronts and the three values are memoized on the instance, keyed by
-every argument they depend on, so each is computed once whichever caller
-asks first; a failed call stores nothing and raises again.  Selections are
-rebuilt from the memoized values.
+tau.  Fronts, the point-based value and the per-scenario minima of the
+other two concepts are memoized on the instance, keyed by every argument
+they depend on, so each is computed once whichever caller asks first; a
+failed call stores nothing and raises again.  The values, the bound checks,
+the images and the selections all read these minima.
 """
 
 from __future__ import annotations
@@ -94,28 +95,21 @@ class Selection:
         return tuple(x for x, _ in self.entries)
 
 
-def f_lambda(inst: Instance, x: str, lam: Weight) -> float:
-    """Worst case over scenarios of the best weighted sum over recourse."""
+def _ws_minima(inst: Instance, x: str, lam: Weight) -> tuple[float, ...]:
+    """Best weighted sum over recourse, per scenario in document order."""
     key = ("ws", x, lam.values)
     hit = inst._cache.get(key)
     if hit is None:
         if len(lam.values) != inst.n:
             raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
-        if x not in inst.decisions:
-            raise InstanceError(f"unknown decision {x!r}")
-        hit = inst._cache[key] = max(weighted_min(_front(inst, x, u), lam.values)
-                                     for u in inst.scenarios)
+        hit = inst._cache[key] = tuple(weighted_min(_front(inst, x, u), lam.values)
+                                       for u in inst.scenarios)
     return hit
 
 
-def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Worst case over scenarios of the capped minimum of objective ``j``.
-
-    Scenarios whose recourse image violates some cap everywhere contribute
-    +inf; with at least one scenario present the -inf convention for an
-    empty outer maximization can never fire, but ``max`` over a non-empty
-    sequence matches it anyway.
-    """
+def _eps_minima(inst: Instance, x: str, gb: GenBound, tol: Tolerance) -> tuple[float, ...]:
+    """Least objective ``j`` over the recourse points that meet every other
+    cap, per scenario in document order; +inf where no point meets them."""
     key = ("eps", x, gb.eps, gb.j, tol.tau)
     hit = inst._cache.get(key)
     if hit is None:
@@ -130,8 +124,20 @@ def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) 
                     if p[k] < best:
                         best = p[k]
             per_scenario.append(best)
-        hit = inst._cache[key] = max(per_scenario)
+        hit = inst._cache[key] = tuple(per_scenario)
     return hit
+
+
+def f_lambda(inst: Instance, x: str, lam: Weight) -> float:
+    """Worst case over scenarios of the best weighted sum over recourse."""
+    return max(_ws_minima(inst, x, lam))
+
+
+def f_eps_j(inst: Instance, x: str, gb: GenBound, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Worst case over scenarios of the capped minimum of objective ``j``;
+    with at least one scenario the -inf convention for an empty outer
+    maximization never fires."""
+    return max(_eps_minima(inst, x, gb, tol))
 
 
 def f_pb(inst: Instance, x: str) -> Vec:
@@ -139,8 +145,6 @@ def f_pb(inst: Instance, x: str) -> Vec:
     key = ("pb", x)
     hit = inst._cache.get(key)
     if hit is None:
-        if x not in inst.decisions:
-            raise InstanceError(f"unknown decision {x!r}")
         hit = inst._cache[key] = tuple(
             max(min(p[i] for p in _front(inst, x, u)) for u in inst.scenarios)
             for i in range(inst.n)
@@ -204,25 +208,17 @@ def check_ws_bound(inst: Instance, x: str, lam: Weight, g,
     guarantee: ``Tolerance.leq`` is monotone in its first argument, so it
     suffices to test the minimum."""
     gv = _gval(g)
-    return all(tol.leq(weighted_min(_front(inst, x, u), lam.values), gv)
-               for u in inst.scenarios)
+    return all(tol.leq(m, gv) for m in _ws_minima(inst, x, lam))
 
 
 def check_eps_bound(inst: Instance, x: str, gb: GenBound, g,
                     tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every scenario admits a point meeting all caps and the guarantee on
-    objective ``j``.  An infinite guarantee can only verify when every
-    scenario is cap-feasible, so genuinely infeasible guarantees fail."""
+    objective ``j``: by monotonicity of ``Tolerance.leq`` it suffices to
+    test the capped minimum.  A scenario where no point meets the caps has
+    minimum +inf and fails even an infinite guarantee."""
     gv = _gval(g)
-    k = gb.j - 1
-    return all(
-        any(
-            all(tol.leq(p[i], gb.eps[i]) for i in range(inst.n) if i != k)
-            and tol.leq(p[k], gv)
-            for p in _front(inst, x, u)
-        )
-        for u in inst.scenarios
-    )
+    return all(m < INF and tol.leq(m, gv) for m in _eps_minima(inst, x, gb, tol))
 
 
 def pb_trivial_bounds(inst: Instance, x: str,

@@ -11,7 +11,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import maro
 from maro import Kind, dump_instance, fixture
@@ -215,6 +215,20 @@ def test_efficiency_mro_rejects_conflicting_relation(capsys, flags, message):
     assert err.startswith(f"maro: {message}")
 
 
+@pytest.mark.parametrize("rel", ["l-strict", "u-strict", "lmin-strict:0.5,0.5"])
+def test_efficiency_rejects_strict_suffix_on_three_stage_relation(capsys, rel):
+    # the notion fixes the deciding relation's strictness; a suffix that
+    # would be ignored is refused instead
+    for flags in ((), ("--weak",), ("--kind", "highly")):
+        code, out, err = run(capsys, "efficiency", "--fixture", "FIG2R", "--x", "x1",
+                             "--kind", "flimsy", "--rel", rel, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"maro: --rel {rel}: ") and "strictness" in err
+    with pytest.raises(SystemExit):
+        main(["efficiency", "--help"])
+    assert "[-strict]" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags, strictness", [
     ((), "strict"),
     (("--weak",), "weak"),
@@ -337,6 +351,104 @@ def test_file_inputs_end_in_exit_0_or_2(tmp_path):
     check()
 
 
+class _Pairs(list):
+    """A JSON object written as (key, value) pairs, so that a key can repeat."""
+
+
+def _dumps(v) -> str:
+    if isinstance(v, dict):
+        v = _Pairs(v.items())
+    if isinstance(v, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(x)}" for k, x in v) + "}"
+    if isinstance(v, list):
+        return "[" + ", ".join(_dumps(x) for x in v) + "]"
+    return json.dumps(v)  # NaN and Infinity as their JSON literals
+
+
+_DOC = {"name": "m", "n": 2, "decisions": ["x1", "x2"], "scenarios": ["u1", "u2"],
+        "recourse": {"x1": {"u1": [[1, 2]], "u2": [[2, 1], [0, 3]]},
+                     "x2": {"u1": [[3, 0]], "u2": [[1, 1]]}}}
+_KEYS = ("name", "n", "decisions", "scenarios", "recourse", "sampled", "bogus",
+         "x1", "x9", "u2", "u9")
+_VALUES = (None, True, "a", "x1", "u9", 0, -1, 2, 2.5, float("nan"), float("inf"),
+           -float("inf"), 10**400, [], {}, [[]], [1], [1, 2, 3], [[1, 2]], [[1, "a"]],
+           ["x1", "x1"], ["u1"], {"u1": [[0, 0]]})
+
+
+def _locations(v, path=()):
+    """Paths of every value in a document; a ``_Pairs`` object is a leaf."""
+    yield path
+    items = v.items() if isinstance(v, dict) else enumerate(v) if type(v) is list else ()
+    for k, x in items:
+        yield from _locations(x, path + (k,))
+
+
+@st.composite
+def _mutated_docs(draw):
+    """Small instance documents after one to three mutations: a dropped,
+    replaced, added or duplicated key or item, with values of wrong type,
+    NaN and Infinity literals, 400-digit integers, empty and wrong-length
+    points, and undeclared identifiers."""
+    doc = json.loads(json.dumps(_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        value = json.loads(json.dumps(draw(st.sampled_from(_VALUES))))
+        op = draw(st.sampled_from(("drop", "set", "add", "dup")))
+        if not path:
+            doc = value if op == "set" else doc
+            continue
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        key = path[-1]
+        if op == "drop":
+            del parent[key]
+        elif op == "set":
+            parent[key] = value
+        elif op == "add" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(_KEYS))] = value
+        elif op == "add":
+            parent.insert(key, value)
+        elif isinstance(parent, dict):
+            pairs = _Pairs(parent.items())
+            pairs.insert(draw(st.integers(0, len(pairs))), (key, value))
+            if len(path) == 1:
+                doc = pairs
+            else:
+                grand = doc
+                for k in path[:-2]:
+                    grand = grand[k]
+                grand[path[-2]] = pairs
+        else:
+            parent.insert(key, parent[key])
+    return _dumps(doc)
+
+
+_ERROR_LINE = re.compile(r"maro: (\$|name|n|decisions|scenarios|recourse|sampled)"
+                         r"[\w.\[\]]*: [^\n]+\n")
+
+
+def test_instance_documents_end_in_exit_0_or_one_error_line(tmp_path):
+    # run in-process: an exception escaping main fails the test, so no
+    # document can end in a traceback
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=200)
+    @given(text=_mutated_docs())
+    def check(text):
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--instance", str(path)])
+        if code == 0:
+            assert json.loads(out.getvalue())["ok"] and err.getvalue() == ""
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert _ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
+
+    check()
+
+
 def test_plot_from_image_output(tmp_path, capsys):
     code, out, _ = run(capsys, "image", "pb", "--fixture", "FIG4")
     src = tmp_path / "points.json"
@@ -418,6 +530,16 @@ def test_compare_json_and_md(capsys):
     assert code == 0
     assert out.startswith("# Concept comparison")
     assert "| efficient (plain) |" in out
+
+
+def test_compare_md_renders_infinity_as_json_does(capsys):
+    argv = ("compare", "--fixture", "FIG2L", "--lambda", "0.5,0.5", "--eps", "_,0", "--j", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["constraint"]["image"] == ["+inf", 0.0]
+    code, out, _ = run(capsys, *argv, "--format", "md")
+    assert code == 0
+    assert "| image | [[7.0, 3.0]] | ['+inf', 0.0] | [[7.0, 6.0]] |" in out.splitlines()
+    assert "inf" not in out.replace("'+inf'", "")
 
 
 def test_tolerance_flag(capsys):

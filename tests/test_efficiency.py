@@ -233,6 +233,67 @@ def test_front_reduced_instance_keeps_every_verdict(source, tau, data):
                     maro_efficient(inst, x, kind, s, spec, tol)
 
 
+EXACT = Tolerance(0.0)
+
+
+def _specs(n):
+    return (UPPER, LOWER, SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=tuple(1.0 / n for _ in range(n))))
+
+
+@given(inst=instances, data=st.data())
+def test_scenario_order_and_copies_change_no_verdict(inst, data):
+    # integer instances at tau = 0.  A flimsy or multi-scenario witness
+    # names every scenario, so its pairs compare as a set; a highly witness
+    # names the first dominated scenario in document order
+    order = data.draw(st.permutations(inst.scenarios))
+    copied = data.draw(st.sampled_from(inst.scenarios))
+    extra = copied + "-copy"
+    permuted = make_instance(inst.name, inst.n, inst.decisions, order, dict(inst.recourse))
+    doubled = make_instance(inst.name, inst.n, inst.decisions, inst.scenarios + (extra,), {
+        **inst.recourse, **{(x, extra): inst.recourse[(x, copied)] for x in inst.decisions}})
+    for x in inst.decisions:
+        for spec in _specs(inst.n):
+            for kind, s in MARO_COMBOS:
+                v, p, d = (maro_efficient(i, x, kind, s, spec, EXACT)
+                           for i in (inst, permuted, doubled))
+                assert v.efficient == p.efficient == d.efficient
+                if v.efficient:
+                    continue
+                pairs = set(v.witness.scenario_map)
+                if kind is Kind.HIGHLY:
+                    # the copy comes last, so the first dominated scenario stays
+                    assert d.witness == v.witness
+                    (u, xp), = p.witness.scenario_map
+                    assert set_cmp(inner_efficient(inst, xp, u, EXACT).points,
+                                   inner_efficient(inst, x, u, EXACT).points,
+                                   derived_set_relation(spec, s), EXACT)
+                else:
+                    assert set(p.witness.scenario_map) == pairs
+                    assert set(d.witness.scenario_map) == pairs | {(extra, dict(pairs)[copied])}
+
+
+@given(inst=instances, data=st.data())
+def test_order_preserving_renaming_changes_only_names(inst, data):
+    # competitors are scanned in lexicographic order, so a renaming that
+    # keeps that order maps every verdict and witness name for name
+    new = data.draw(st.lists(st.text("abxy019", min_size=1, max_size=3), unique=True,
+                             min_size=len(inst.decisions), max_size=len(inst.decisions)))
+    name = dict(zip(sorted(inst.decisions), sorted(new)))
+    renamed = make_instance(inst.name, inst.n, [name[x] for x in inst.decisions],
+                            inst.scenarios,
+                            {(name[x], u): pts for (x, u), pts in inst.recourse.items()})
+    for x in inst.decisions:
+        for spec in _specs(inst.n):
+            for kind, s in MARO_COMBOS:
+                v = maro_efficient(inst, x, kind, s, spec, EXACT)
+                r = maro_efficient(renamed, name[x], kind, s, spec, EXACT)
+                assert r.efficient == v.efficient
+                if not v.efficient:
+                    assert r.witness == efficiency.Witness(
+                        name[v.witness.xprime],
+                        tuple((u, name[xp]) for u, xp in v.witness.scenario_map))
+
+
 def test_mro_decides_without_set_relations(monkeypatch):
     # the singleton-coherence lemma compares mro_efficient with
     # maro_efficient, so the two-stage checker must not read set relations

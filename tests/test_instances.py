@@ -74,6 +74,23 @@ def test_schema_violations_carry_paths(mutate, pattern):
         load_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("mutate,message", [
+    # the shape is sound, so the instance rule on n comes first, before the
+    # point of the wrong length
+    (lambda d: (d.update(n=-1), d["recourse"]["x1"].update(u1=[[1]])),
+     "n: objective count must be a positive integer, got -1"),
+    # a shape error anywhere comes before an instance rule (the empty set)
+    (lambda d: (d["recourse"]["x1"].update(u1=[]), d["recourse"]["x2"].update(u1=[[1, "a"]])),
+     "recourse.x2.u1[0]: coordinates must be numbers, got 'a'"),
+])
+def test_shape_errors_come_before_instance_rules(mutate, message):
+    doc = json.loads(FIG2L_DOC)
+    mutate(doc)
+    with pytest.raises(InstanceError) as err:
+        load_instance(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_not_json_is_reported():
     with pytest.raises(InstanceError, match="not valid JSON"):
         load_instance("{nope")

@@ -9,10 +9,12 @@ from maro import (
     Strictness,
     Tolerance,
     Weight,
+    check_eps_bound,
     check_lemmas_and_remarks,
     check_thm_eps_implies_ms_lower,
     check_thm_eps_switch,
     check_thm_ws_implies_ms,
+    check_ws_bound,
     compare_concepts,
     dump_instance,
     eps_efficient_set,
@@ -262,14 +264,25 @@ def test_battery_computes_each_verdict_once(monkeypatch):
         assert verdicts and len(verdicts) == len(set(verdicts))
 
 
-def test_compare_computes_each_selection_value_once():
+def test_compare_computes_each_selection_value_once(monkeypatch):
     # the selections, the three images, the bound checks and the point-based
-    # values all read one memo: each scalar value is computed once
+    # values all read one memo: each scalar value, and each tuple of
+    # per-scenario minima, is computed once
     inst = fixture("FIG6L")
     stored = record_stores(inst)
-    table = compare_concepts(inst, HALF, GenBound((0.0, 5.0), 1))
+    gb = GenBound((0.0, 5.0), 1)
+    table = compare_concepts(inst, HALF, gb)
     assert table["weighted_sum"]["plain"] and table["constraint"]["plain"]
     assert table["weighted_sum"]["image"] and table["point_based"]["image"]
+
+    # later bound checks of every decision read the memoized minima alone
+    def no_front(*args):
+        raise AssertionError("a bound check rescanned a recourse front")
+
+    monkeypatch.setattr("maro.scalarize._front", no_front)
+    for x in inst.decisions:
+        assert check_ws_bound(inst, x, HALF, table["weighted_sum"]["guarantee"].get(x, 1e9))
+        check_eps_bound(inst, x, gb, 5.0)
     values = [key[:2] for key in stored if key[0] in ("ws", "eps", "pb")]
     assert sorted(values) == sorted((name, x) for name in ("ws", "eps", "pb")
                                     for x in inst.decisions)
