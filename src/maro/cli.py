@@ -245,7 +245,9 @@ def _points_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_image(args) -> int:
+def _image(args, inst: Instance, tol: Tolerance) -> tuple[dict, list[str], list[list]]:
+    """The JSON document, CSV header and point rows of ``image args.what``;
+    the rows of an infeasible constraint image are empty."""
     from .images import (
         BoundGrid,
         WeightGrid,
@@ -257,7 +259,6 @@ def _cmd_image(args) -> int:
     )
     from .scalarize import GenBound
 
-    inst, tol = _load(args)
     n = inst.n
     if args.what == "ws":
         if args.grid_k is not None:
@@ -307,7 +308,12 @@ def _cmd_image(args) -> int:
         doc = {"concept": "pb", "points": [list(p) for p in pts]}
         rows = [list(p) for p in pts]
         header = [f"f{i+1}" for i in range(n)]
+    return doc, header, rows
 
+
+def _cmd_image(args) -> int:
+    inst, tol = _load(args)
+    doc, header, rows = _image(args, inst, tol)
     if args.format == "csv":
         sys.stdout.write(_points_csv(header, rows))
     else:
@@ -336,32 +342,24 @@ def _extract_points(doc) -> list[tuple[float, ...]]:
 
 
 def _cmd_plot(args) -> int:
-    from .images import image_eps, image_pb, image_ws, render_svg
-    from .scalarize import GenBound
+    from .images import render_svg
 
-    datasets = []
     if args.infile:
         doc = _read_json(args.infile, args.infile)
-        datasets.append((args.label or "points", _extract_points(doc)))
+        label, points = args.label or "points", _extract_points(doc)
     else:
         inst, tol = _load(args)
-        if args.what == "pb":
-            datasets.append(("pb", list(image_pb(inst, tol))))
-        elif args.what == "ws":
-            if not args.lam:
-                raise UsageError("plot --what ws needs --lambda")
-            lam = _parse_weight(args.lam)
-            datasets.append(("ws", list(image_ws(inst, lam, tol))))
-        elif args.what == "eps":
-            if not args.eps or args.j is None:
-                raise UsageError("plot --what eps needs --eps and --j")
-            one = image_eps(inst, GenBound(_parse_eps(args.eps, args.j), args.j), tol)
-            if not one.feasible:
-                raise UsageError("constraint image is infeasible; nothing to plot")
-            datasets.append(("eps", [one.point]))
-        else:
+        if args.what is None:
             raise UsageError("plot needs --in FILE or --what ws|eps|pb")
-    svg = render_svg(datasets, connect=args.connect)
+        if args.what == "ws" and not args.lam:
+            raise UsageError("plot --what ws needs --lambda")
+        if args.what == "eps" and (not args.eps or args.j is None):
+            raise UsageError("plot --what eps needs --eps and --j")
+        label = args.what
+        _, _, points = _image(args, inst, tol)
+        if args.what == "eps" and not points:
+            raise UsageError("constraint image is infeasible; nothing to plot")
+    svg = render_svg([(label, points)], connect=args.connect)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -495,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", action="store_true", help="trace points with a polyline")
     p.add_argument("--format", choices=["svg"], default="svg")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=_cmd_plot)
+    # the image options plot does not offer, so that it can share _image
+    p.set_defaults(fn=_cmd_plot, grid_k=None, eps_list=None)
 
     p = sub.add_parser("verify", help="run the property harness on generated instances")
     p.add_argument("--seed", type=int, default=42)

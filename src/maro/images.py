@@ -155,6 +155,12 @@ def image_pb(inst: Instance, tol: Tolerance = DEFAULT_TOL) -> tuple[Vec, ...]:
     return tuple(sorted({f_pb(inst, x) for x in pb_efficient_set(inst, Strictness.PLAIN, tol)}))
 
 
+def _dominated(points, rel: VecRel, tol: Tolerance) -> list[Vec]:
+    """The image points some other image point precedes under ``rel``, in
+    input order."""
+    return [p for p in points if any(q != p and vec_cmp(q, p, rel, tol) for q in points)]
+
+
 @dataclass(frozen=True)
 class GapRecord:
     lam: Vec
@@ -231,10 +237,7 @@ def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
                 check_ws_bound(inst, x, lam, g, tol) for x, g in ws_plain.entries
             ),
             "image": [list(p) for p in ws_img],
-            "image_weakly_nondominated": not any(
-                p != q and vec_cmp(q, p, VecRel.LT, tol)
-                for p in ws_img for q in ws_img
-            ),
+            "image_weakly_nondominated": not _dominated(ws_img, VecRel.LT, tol),
         },
         "constraint": {
             "plain": list(eps_plain.decisions),
@@ -262,10 +265,7 @@ def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
                 for lo, hi, holds in [pb_trivial_bounds(inst, x, tol)]
             },
             "image": [list(p) for p in pb_img],
-            "image_nondominated": not any(
-                p != q and vec_cmp(q, p, VecRel.LEQ, tol)
-                for p in pb_img for q in pb_img
-            ),
+            "image_nondominated": not _dominated(pb_img, VecRel.LEQ, tol),
         },
     }
 

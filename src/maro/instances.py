@@ -94,7 +94,7 @@ class Instance:
 
     def __post_init__(self):
         recourse = dict(self.recourse)
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise InstanceError(f"n: objective count must be a positive integer, got {self.n!r}")
         for label, ids in (("decisions", self.decisions), ("scenarios", self.scenarios)):
             if not ids:

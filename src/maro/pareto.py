@@ -8,7 +8,6 @@ from enum import Enum
 from itertools import chain
 
 from .instances import DEFAULT_TOL, Instance, Tolerance, Vec
-from .relations import VecRel, _vec_eq, vec_cmp
 
 
 class Orientation(Enum):
@@ -39,33 +38,39 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     lexicographically smallest).
 
     Under MIN, with d = q - p, q dominates p iff every ``d_i <= tau`` and some
-    ``d_i < -tau``.  Two objectives take an exact O(m log m) kernel at every
-    tau (:func:`_dominated2`); MAX runs it on the negated points in reverse
-    order, since ``p_i - q_i`` equals ``(-q_i) - (-p_i)`` bit for bit.  At
-    tau = 0 under MIN a one-pass sweep is cheaper still (Kung, Luccio &
-    Preparata 1975): every dominator or duplicate of p sorts before p, so p
-    survives iff ``p[1]`` is smaller than that of the last point kept.
+    ``d_i < -tau``.  Finite two-objective sets take an exact O(m log m)
+    kernel at every tau (:func:`_dominated2`); MAX runs it on the negated
+    points in reverse order, since ``p_i - q_i`` equals ``(-q_i) - (-p_i)``
+    bit for bit.  At tau = 0 under MIN a one-pass sweep is cheaper still
+    (Kung, Luccio & Preparata 1975): every dominator or duplicate of p sorts
+    before p, so p survives iff ``p[1]`` is smaller than that of the last
+    point kept.
 
-    Other dimensions scan a pruned candidate range.  After the lexicographic
-    sort, q can dominate p under MIN only if ``q[0] - p[0] <= tau``.
-    Rounding is monotone, so that float expression never decreases along the
-    sorted first coordinates: the candidates form a prefix, and its end only
-    moves forward as p[0] grows.  The bound is tested with the very
-    expression the scan then checks, so it drops no candidate the check
-    would accept.  Under MAX the test is ``p[0] - q[0] <= tau`` and the
-    candidates form a suffix whose start likewise only moves forward.  The
-    scan inlines the finite comparisons of :class:`Tolerance`; input with a
-    non-finite coordinate (or none at all) takes the unpruned pairwise filter.
+    Every other input, including any with an infinite coordinate, scans a
+    pruned candidate range.  After the lexicographic sort, q can dominate p
+    under MIN only if ``q[0] - p[0] <= tau or q[0] <= p[0]``.  Rounding is
+    monotone, so that test never turns from false to true along the sorted
+    first coordinates: the candidates form a prefix, and its end only moves
+    forward as p[0] grows.  The bound is tested with the very expression
+    the scan then checks, so it drops no candidate the check would accept.
+    Under MAX the test is ``p[0] - q[0] <= tau`` and the candidates form a
+    suffix whose start likewise only moves forward.  The scan inlines the
+    rule of :class:`Tolerance`: a difference with an infinite operand is
+    infinite and compares exactly, or NaN for equal infinities, which the
+    per-pair test reads as equal coordinates and the bound and duplicate
+    tests accept through their ``or``.  Points of length zero are all
+    duplicates of the first.  The unpruned pairwise filter survives only as
+    the test oracle ``tol_front``.
     """
     pts = sorted(tuple(p) for p in points)
     if not pts:
         raise ValueError("nondominated() requires a non-empty point set")
     n = _common_length(pts)
-    if n == 0 or not all(map(math.isfinite, chain.from_iterable(pts))):
-        return _pairwise_front(pts, orientation, tol)
+    if n == 0:
+        return FrontSet(tuple(pts[:1]), orientation)
     tau = tol.tau
     is_min = orientation is Orientation.MIN
-    if n == 2:
+    if n == 2 and all(map(math.isfinite, chain.from_iterable(pts))):
         if tau == 0.0 and is_min:
             return _sweep_min_front2(pts)
         return _front2(pts, orientation, tau)
@@ -76,7 +81,7 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     for p in pts:
         p0 = p[0]
         if is_min:
-            while hi < m and pts[hi][0] - p0 <= tau:
+            while hi < m and (pts[hi][0] - p0 <= tau or pts[hi][0] <= p0):
                 hi += 1
         else:
             while p0 - pts[lo][0] > tau:
@@ -96,7 +101,7 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
                     break
         else:
             for k in keep:
-                if all(abs(a - b) <= tau for a, b in zip(p, k)):
+                if all(abs(a - b) <= tau or a == b for a, b in zip(p, k)):
                     break
             else:
                 keep.append(p)
@@ -176,22 +181,6 @@ def _sweep_min_front2(pts: list[Vec]) -> FrontSet:
             keep.append(p)
             best = p[1]
     return FrontSet(tuple(keep), Orientation.MIN)
-
-
-def _pairwise_front(pts: list[Vec], orientation: Orientation, tol: Tolerance) -> FrontSet:
-    """The unpruned O(|S|^2) filter over sorted points, exact on infinities."""
-    keep: list[Vec] = []
-    for p in pts:
-        if orientation is Orientation.MIN:
-            dominated = any(vec_cmp(q, p, VecRel.LEQ, tol) for q in pts)
-        else:
-            dominated = any(vec_cmp(p, q, VecRel.LEQ, tol) for q in pts)
-        if dominated:
-            continue
-        if any(_vec_eq(p, k, tol) for k in keep):
-            continue
-        keep.append(p)
-    return FrontSet(tuple(keep), orientation)
 
 
 def inner_efficient(inst: Instance, x: str, u: str,

@@ -20,10 +20,10 @@ from .efficiency import (
     maro_efficient,
     mro_efficient,
 )
-from .images import BoundGrid, image_eps_grid, image_pb, simplex_grid
+from .images import BoundGrid, _dominated, image_eps_grid, image_pb, simplex_grid
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, make_instance
 from .pareto import Orientation, inner_efficient, nondominated
-from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp, vec_cmp
+from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp
 from .scalarize import (
     GenBound,
     check_eps_bound,
@@ -284,9 +284,8 @@ def _eps_image_weakly_nondominated(ctx: _Context, rep: CheckReport):
     for j in range(1, inst.n + 1):
         rep.cases += 1
         img = image_eps_grid(inst, BoundGrid(j, tuple(ctx.eps_list)), tol)
-        for p in img.points:
-            if any(q != p and vec_cmp(q, p, VecRel.LT, tol) for q in img.points):
-                rep.fail(inst, f"j={j}: image point {_fmt_vec(p)} strictly dominated")
+        for p in _dominated(img.points, VecRel.LT, tol):
+            rep.fail(inst, f"j={j}: image point {_fmt_vec(p)} strictly dominated")
 
 
 @_check("lemma_pb_image_nondominated")
@@ -294,10 +293,8 @@ def _pb_image_nondominated(ctx: _Context, rep: CheckReport):
     """Point-based image points never dominate one another."""
     inst, tol = ctx.inst, ctx.tol
     rep.cases = 1
-    pb_img = image_pb(inst, tol)
-    for p in pb_img:
-        if any(q != p and vec_cmp(q, p, VecRel.LEQ, tol) for q in pb_img):
-            rep.fail(inst, f"image point {_fmt_vec(p)} dominated")
+    for p in _dominated(image_pb(inst, tol), VecRel.LEQ, tol):
+        rep.fail(inst, f"image point {_fmt_vec(p)} dominated")
 
 
 @_check("remark_efficiency_implication_chain")

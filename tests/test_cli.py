@@ -1,6 +1,7 @@
 """Command line surface: formats, exit codes, determinism."""
 
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -16,8 +17,12 @@ from hypothesis import given, settings
 import maro
 from maro import Kind, dump_instance, fixture
 from maro.cli import build_parser, main
+from maro.images import render_svg
 
 from conftest import record_stores
+
+
+_FIG2L = ["--fixture", "FIG2L"]
 
 
 def run(capsys, *argv):
@@ -268,6 +273,10 @@ def test_image_eps_single_and_list(tmp_path, capsys):
                        "--eps", "_,6", "--j", "1")
     doc = json.loads(out)
     assert code == 0 and doc["point"] == [7, 6] and doc["feasible"]
+    code, out, _ = run(capsys, "image", "eps", "--fixture", "FIG2L",
+                       "--eps", "_,-inf", "--j", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["point"] == ["+inf", "-inf"] and doc["feasible"] is False
 
     eps_file = tmp_path / "eps.json"
     eps_file.write_text(json.dumps([[0, 5], [0, 6], [0, 7], [0, 8]]))
@@ -481,6 +490,40 @@ def test_plot_errors(capsys):
     assert code == 2 and "--lambda" in err
 
 
+@pytest.mark.parametrize("what, flags", [
+    ("pb", ()),
+    ("ws", ("--lambda", "0.5,0.5")),
+    ("ws", ("--lambda", "1,0")),
+    ("eps", ("--eps", "_,6", "--j", "1")),
+])
+@pytest.mark.parametrize("connect", [(), ("--connect",)])
+def test_plot_draws_the_points_of_image(capsys, what, flags, connect):
+    code, out, _ = run(capsys, "image", what, "--fixture", "FIG4", *flags)
+    assert code == 0
+    doc = json.loads(out)
+    points = [tuple(p) for p in doc["points"]] if "points" in doc else [tuple(doc["point"])]
+    code, out, err = run(capsys, "plot", "--fixture", "FIG4", "--what", what, *flags, *connect)
+    assert (code, err) == (0, "")
+    assert out == render_svg([(what, points)], connect=bool(connect))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve-eps", *_FIG2L, "--eps", "a,1", "--j", "1"), "bad --eps entry 'a'"),
+    (("image", "eps", *_FIG2L, "--eps-list", "/nonexistent/eps.json", "--j", "1"),
+     f"cannot read --eps-list: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+     "'/nonexistent/eps.json'"),
+    (("efficiency", *_FIG2L, "--x", "x1", "--kind", "point-based"),
+     "point-based is a two-stage notion; add --mro or use solve-pb"),
+    (("image", "eps", *_FIG2L, "--eps", "_,6"), "image eps needs --j"),
+    (("plot", *_FIG2L, "--what", "eps", "--j", "1"), "plot --what eps needs --eps and --j"),
+    (("plot", *_FIG2L, "--what", "eps", "--eps", "_,0", "--j", "1"),
+     "constraint image is infeasible; nothing to plot"),
+    (("plot", *_FIG2L), "plot needs --in FILE or --what ws|eps|pb"),
+])
+def test_usage_errors_exit_2_with_one_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"maro: {message}\n")
+
+
 def test_fixtures_listing_and_dump(capsys):
     code, out, _ = run(capsys, "fixtures")
     doc = json.loads(out)
@@ -509,6 +552,22 @@ def test_verify_check_filter_and_bad_id(capsys):
     code, _, err = run(capsys, "verify", "--seed", "1", "--count", "5",
                        "--check", "nope")
     assert code == 2 and "unknown check ids" in err
+
+
+def test_verify_exits_1_and_reports_a_planted_defect(capsys, monkeypatch):
+    # f_pb taking the minimum over scenarios breaks the unit-weight reduction
+    def f_pb_min(inst, x):
+        return tuple(min(min(p[i] for p in inst.points(x, u)) for u in inst.scenarios)
+                     for i in range(inst.n))
+
+    monkeypatch.setattr("maro.verify.f_pb", f_pb_min)
+    code, out, err = run(capsys, "verify", "--seed", "42", "--count", "20",
+                         "--check", "unit_weight_reduces_to_pb")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    details = [v["detail"] for v in doc["checks"]["unit_weight_reduces_to_pb"]["violations"]]
+    assert details and all("unit-weight value" in d for d in details)
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -596,9 +655,6 @@ def _modules_after(argv: list[str]) -> set[str]:
         "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'maro']))\n"
     )
     return set(json.loads(_child(code)))
-
-
-_FIG2L = ["--fixture", "FIG2L"]
 
 
 @pytest.mark.parametrize("argv", [["validate", *_FIG2L], ["fixtures"]])

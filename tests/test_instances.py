@@ -211,6 +211,15 @@ def test_instance_requires_nonempty_axes():
         Instance("z", 2, ("x",), (), {})
 
 
+@pytest.mark.parametrize("n", [True, False])
+def test_instance_refuses_a_boolean_objective_count(n):
+    # bool is an int subclass; True would otherwise pass and be dumped as
+    # "n": True, which is not JSON
+    with pytest.raises(InstanceError) as err:
+        Instance("a", n, ("x",), ("u",), {("x", "u"): ((1.0,),)})
+    assert str(err.value) == f"n: objective count must be a positive integer, got {n}"
+
+
 def test_recourse_is_read_only():
     raw = {("x", "u"): ((1.0, 2.0),)}
     inst = Instance("ro", 2, ("x",), ("u",), raw)

@@ -140,7 +140,7 @@ def test_two_objective_sweep_fixed_cases():
     for S in ([(0.0, 1.0), (-0.0, 1.0)], [(-0.0, 1.0), (0.0, 1.0)]):
         got = nondominated(S, Orientation.MIN, tol0).points
         assert repr(got) == repr(tuple(tol_front(S, "min", 0.0))) == repr((S[0],))
-    # an infinite coordinate takes the pairwise filter
+    # an infinite coordinate takes the pruned scan
     assert nondominated([(0.0, INF), (1.0, INF)], Orientation.MIN, tol0).points == ((0.0, INF),)
     assert nondominated([(0.0, -INF), (1.0, -INF)], Orientation.MIN, tol0).points == (
         (0.0, -INF),)
@@ -198,3 +198,27 @@ def test_matches_tolerance_oracle_on_near_ties(tau, n, max_size, data):
     tol = Tolerance(tau)
     assert list(nondominated(S, Orientation.MIN, tol).points) == tol_front(S, "min", tau)
     assert list(nondominated(S, Orientation.MAX, tol).points) == tol_front(S, "max", tau)
+
+
+# coordinates whose differences are infinite, NaN (equal infinities) or
+# overflow, next to small integers and both zeros
+_EXTREME = (INF, -INF, 0.0, -0.0, 1e308, -1e308, 1.0, 2.0, -1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
+@given(data=st.data())
+def test_matches_tolerance_oracle_on_infinite_and_overflowing_coordinates(tau, n, data):
+    S = data.draw(st.lists(st.tuples(*[st.sampled_from(_EXTREME)] * n),
+                           min_size=1, max_size=7))
+    tol = Tolerance(tau)
+    for orientation in Orientation:
+        got = nondominated(S, orientation, tol).points
+        assert repr(list(got)) == repr(tol_front(S, orientation.value, tau)), orientation
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_zero_length_points_keep_one_representative(tau):
+    for orientation in Orientation:
+        assert nondominated([(), ()], orientation, Tolerance(tau)).points == ((),)
+        assert tol_front([(), ()], orientation.value, tau) == [()]
