@@ -20,21 +20,19 @@ _NAMES = {
     "efficiency": ("Kind", "SmaroResult", "Strictness", "Verdict", "Witness",
                    "maro_efficient", "mro_efficient", "smaro_set"),
     "fixtures": ("FIXTURE_NAMES", "fixture", "fixture_meta"),
-    "images": ("BoundGrid", "EpsGridImage", "EpsImagePoint", "WeightGrid",
-               "compare_concepts", "image_eps", "image_eps_grid", "image_pb",
-               "image_ws", "image_ws_grid", "render_svg", "simplex_grid",
-               "ws_image_gaps"),
+    "images": ("EpsGridImage", "EpsImagePoint", "WeightGrid", "compare_concepts",
+               "image_eps", "image_eps_grid", "image_pb", "image_ws", "image_ws_grid",
+               "render_svg", "simplex_grid", "ws_image_gaps"),
     "instances": ("INF", "DEFAULT_TOL", "Instance", "InstanceError", "Tolerance",
                   "Vec", "dump_instance", "load_instance", "make_instance"),
     "pareto": ("FrontSet", "Orientation", "ideal", "inner_efficient", "nondominated"),
     "relations": ("SetRelFamily", "SetRelSpec", "VecRel", "Weight", "parse_relation",
                   "set_cmp", "vec_cmp"),
-    "scalarize": ("GenBound", "Guarantee", "Selection", "check_eps_bound",
-                  "check_ws_bound", "eps_efficient_set", "f_eps_j", "f_lambda",
-                  "f_pb", "pb_efficient_set", "pb_trivial_bounds", "ws_efficient_set"),
-    "verify": ("BatteryReport", "CheckReport", "GenConfig", "check_lemmas_and_remarks",
-               "check_thm_eps_implies_ms_lower", "check_thm_eps_switch",
-               "check_thm_ws_implies_ms", "generate", "run_battery"),
+    "scalarize": ("GenBound", "Selection", "check_eps_bound", "check_ws_bound",
+                  "eps_efficient_set", "f_eps_j", "f_lambda", "f_pb", "pb_efficient_set",
+                  "pb_trivial_bounds", "ws_efficient_set"),
+    "verify": ("BatteryReport", "CheckReport", "GenConfig", "check_instance", "generate",
+               "run_battery"),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
 

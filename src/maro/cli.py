@@ -195,7 +195,7 @@ def _cmd_solve_ws(args) -> int:
         "lambda": list(lam.values),
         "strictness": args.strictness,
         "efficient": list(sel.decisions),
-        "guarantees": {x: g.value for x, g in sel.entries},
+        "guarantees": sel.guarantees,
         "strict_empty_tie": sel.strict_empty_tie,
         "plain_guarantee": sel.plain_guarantee,
     })
@@ -215,7 +215,7 @@ def _cmd_solve_eps(args) -> int:
         "j": gb.j,
         "strictness": args.strictness,
         "efficient": list(sel.decisions),
-        "guarantees": {x: g.value for x, g in sel.entries},
+        "guarantees": sel.guarantees,
         "strict_empty_tie": sel.strict_empty_tie,
         "plain_guarantee": sel.plain_guarantee,
         "infeasible": sel.infeasible,
@@ -245,20 +245,25 @@ def _points_csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# (attribute, option, the image that reads it)
+_IMAGE_OPTIONS = (("lam", "--lambda", "ws"), ("grid_k", "--grid-k", "ws"),
+                  ("eps", "--eps", "eps"), ("eps_list", "--eps-list", "eps"), ("j", "--j", "eps"))
+
+
 def _image(args, inst: Instance, tol: Tolerance) -> tuple[dict, list[str], list[list]]:
     """The JSON document, CSV header and point rows of ``image args.what``;
-    the rows of an infeasible constraint image are empty."""
-    from .images import (
-        BoundGrid,
-        WeightGrid,
-        image_eps,
-        image_eps_grid,
-        image_pb,
-        image_ws,
-        image_ws_grid,
-    )
+    the rows of an infeasible constraint image are empty.  An option the
+    image would not read is refused."""
+    from .images import WeightGrid, image_eps, image_eps_grid, image_pb, image_ws, image_ws_grid
     from .scalarize import GenBound
 
+    for attr, option, what in _IMAGE_OPTIONS:
+        if getattr(args, attr) is not None and what != args.what:
+            raise UsageError(f"{option} does not apply to the {args.what} image")
+    if args.grid_k is not None and args.lam is not None:
+        raise UsageError("--grid-k and --lambda are exclusive")
+    if args.eps_list is not None and args.eps is not None:
+        raise UsageError("--eps-list and --eps are exclusive")
     n = inst.n
     if args.what == "ws":
         if args.grid_k is not None:
@@ -288,8 +293,7 @@ def _image(args, inst: Instance, tol: Tolerance) -> tuple[dict, list[str], list[
             for i, eps in enumerate(eps_values):
                 if len(eps) != n:
                     raise UsageError(f"--eps-list[{i}]: expected {n} entries, got {len(eps)}")
-            grid = BoundGrid(args.j, tuple(eps_values))
-            img = image_eps_grid(inst, grid, tol)
+            img = image_eps_grid(inst, tuple(GenBound(e, args.j) for e in eps_values), tol)
             doc = {"concept": "eps", "j": args.j,
                    "points": [list(p) for p in img.points],
                    "infeasible": [list(p) for p in img.infeasible]}

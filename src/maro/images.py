@@ -66,23 +66,6 @@ class WeightGrid:
         return math.comb(self.resolution + self.n - 1, self.n - 1)
 
 
-@dataclass(frozen=True)
-class BoundGrid:
-    j: int
-    eps_values: tuple[Vec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "eps_values",
-            tuple(tuple(float(c) for c in e) for e in self.eps_values),
-        )
-        if not self.eps_values:
-            raise ValueError("bound grid must contain at least one generating bound")
-
-    def bounds(self) -> tuple[GenBound, ...]:
-        return tuple(GenBound(e, self.j) for e in self.eps_values)
-
-
 def image_ws(inst: Instance, lam: Weight, tol: Tolerance = DEFAULT_TOL) -> tuple[Vec, ...]:
     """Outcome vectors realized by plainly weighted-sum efficient decisions
     at scenarios attaining their worst case and points attaining the inner
@@ -93,9 +76,9 @@ def image_ws(inst: Instance, lam: Weight, tol: Tolerance = DEFAULT_TOL) -> tuple
     to the image too."""
     sel = ws_efficient_set(inst, lam, Strictness.PLAIN, tol)
     out: set[Vec] = set()
-    for x, g in sel.entries:
+    for x, g in sel.guarantees.items():
         for u, m in zip(inst.scenarios, _ws_minima(inst, x, lam)):
-            if not tol.eq(m, g.value):
+            if not tol.eq(m, g):
                 continue
             for p in inst.points(x, u):
                 if tol.eq(dot(lam.values, p), m):
@@ -134,15 +117,17 @@ class EpsGridImage:
     infeasible: tuple[Vec, ...]
 
 
-def image_eps_grid(inst: Instance, grid: BoundGrid,
+def image_eps_grid(inst: Instance, bounds: tuple[GenBound, ...],
                    tol: Tolerance = DEFAULT_TOL) -> EpsGridImage:
-    """Union of constraint images over the bound list, in grid order.
+    """Union of constraint images over the bound list, in list order.
 
     Bounds that no decision can meet are reported separately and excluded
     from the realized front."""
+    if not bounds:
+        raise ValueError("bound list must contain at least one generating bound")
     feasible: list[Vec] = []
     infeasible: list[Vec] = []
-    for gb in grid.bounds():
+    for gb in bounds:
         img = image_eps(inst, gb, tol)
         target = feasible if img.feasible else infeasible
         if img.point not in target:
@@ -190,16 +175,14 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
     diameter = max(
         math.dist(p, q) for i, p in enumerate(cloud) for q in cloud[i + 1:]
     )
-    if diameter == 0.0:
-        return ()
     tie = tie_frac * diameter
     gaps = []
     for w in grid.weights:
         sel = ws_efficient_set(inst, w, Strictness.PLAIN, tol)
         pts: set[Vec] = set()
-        for x, g in sel.entries:
+        for x, g in sel.guarantees.items():
             for u, m in zip(inst.scenarios, _ws_minima(inst, x, w)):
-                if m < g.value - tie:
+                if m < g - tie:
                     continue
                 for p in inst.points(x, u):
                     if dot(w.values, p) <= m + tie:
@@ -232,9 +215,9 @@ def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
             "plain": list(ws_plain.decisions),
             "strict": list(ws_strict.decisions),
             "strict_empty_tie": ws_strict.strict_empty_tie,
-            "guarantee": {x: g.value for x, g in ws_plain.entries},
+            "guarantee": ws_plain.guarantees,
             "bounds_hold": all(
-                check_ws_bound(inst, x, lam, g, tol) for x, g in ws_plain.entries
+                check_ws_bound(inst, x, lam, g, tol) for x, g in ws_plain.guarantees.items()
             ),
             "image": [list(p) for p in ws_img],
             "image_weakly_nondominated": not _dominated(ws_img, VecRel.LT, tol),
@@ -244,10 +227,10 @@ def compare_concepts(inst: Instance, lam: Weight, gb: GenBound,
             "strict": list(eps_strict.decisions),
             "strict_empty_tie": eps_strict.strict_empty_tie,
             "infeasible": eps_plain.infeasible,
-            "guarantee": {x: g.value for x, g in eps_plain.entries},
+            "guarantee": eps_plain.guarantees,
             "bounds_hold": all(
                 check_eps_bound(inst, x, gb, g, tol)
-                for x, g in eps_plain.entries if g.value != INF
+                for x, g in eps_plain.guarantees.items() if g != INF
             ),
             "image": list(eps_img.point),
             "image_feasible": eps_img.feasible,

@@ -96,9 +96,6 @@ class Weight:
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {s!r}")
 
-    def __len__(self):
-        return len(self.values)
-
 
 def dot(lam: Vec, p: Vec) -> float:
     s = 0.0

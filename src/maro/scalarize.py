@@ -65,34 +65,25 @@ class GenBound:
 
 
 @dataclass(frozen=True)
-class Guarantee:
-    """Scenario-independent bound certified for an efficient decision."""
-
-    value: float
-    concept: str  # "ws" or "eps"
-    lam: Vec | None = None
-    eps: Vec | None = None
-    j: int | None = None
-
-
-@dataclass(frozen=True)
 class Selection:
     """Efficient decisions of a scalar concept, with guarantees and flags.
 
+    ``guarantees`` maps each selected decision, in decision order, to its
+    scenario-independent bound: its worst-case scalar value.
     ``strict_empty_tie`` marks a strict selection emptied by ties, in which
     case ``plain_guarantee`` reports the minimizer-set guarantee instead;
     ``infeasible`` marks a selection where every value is +inf, as in a
     constraint selection where no decision can meet the caps.
     """
 
-    entries: tuple[tuple[str, Guarantee], ...]
+    guarantees: dict[str, float]
     strict_empty_tie: bool = False
     plain_guarantee: float | None = None
     infeasible: bool = False
 
     @property
     def decisions(self) -> tuple[str, ...]:
-        return tuple(x for x, _ in self.entries)
+        return tuple(self.guarantees)
 
 
 def _ws_minima(inst: Instance, x: str, lam: Weight) -> tuple[float, ...]:
@@ -153,19 +144,19 @@ def f_pb(inst: Instance, x: str) -> Vec:
 
 
 def _selection(inst: Instance, values: dict[str, float], strictness: Strictness,
-               tol: Tolerance, concept: str, **params) -> Selection:
+               tol: Tolerance) -> Selection:
     """The minimizers of ``values`` (plain) or the unique one (strict), each
-    with its guarantee of ``concept`` and its parameters."""
+    with its value as guarantee."""
     if strictness is Strictness.WEAK:
         raise ValueError("scalar concepts come in strict/plain variants only")
     beats = tol.leq if strictness is Strictness.STRICT else tol.lt
-    selected = tuple(
-        x for x in inst.decisions
+    selected = {
+        x: values[x] for x in inst.decisions
         if not any(beats(values[xp], values[x]) for xp in inst.decisions if xp != x)
-    )
+    }
     strict_empty = strictness is Strictness.STRICT and not selected
     return Selection(
-        tuple((x, Guarantee(values[x], concept, **params)) for x in selected),
+        selected,
         strict_empty_tie=strict_empty,
         plain_guarantee=min(values.values()) if strict_empty else None,
         infeasible=all(v == INF for v in values.values()),
@@ -176,14 +167,14 @@ def ws_efficient_set(inst: Instance, lam: Weight,
                      strictness: Strictness = Strictness.PLAIN,
                      tol: Tolerance = DEFAULT_TOL) -> Selection:
     values = {x: f_lambda(inst, x, lam) for x in inst.decisions}
-    return _selection(inst, values, strictness, tol, "ws", lam=lam.values)
+    return _selection(inst, values, strictness, tol)
 
 
 def eps_efficient_set(inst: Instance, gb: GenBound,
                       strictness: Strictness = Strictness.PLAIN,
                       tol: Tolerance = DEFAULT_TOL) -> Selection:
     values = {x: f_eps_j(inst, x, gb, tol) for x in inst.decisions}
-    return _selection(inst, values, strictness, tol, "eps", eps=gb.eps, j=gb.j)
+    return _selection(inst, values, strictness, tol)
 
 
 def pb_efficient_set(inst: Instance, strictness: Strictness = Strictness.PLAIN,
@@ -198,27 +189,21 @@ def pb_efficient_set(inst: Instance, strictness: Strictness = Strictness.PLAIN,
     )
 
 
-def _gval(g) -> float:
-    return g.value if isinstance(g, Guarantee) else float(g)
-
-
-def check_ws_bound(inst: Instance, x: str, lam: Weight, g,
+def check_ws_bound(inst: Instance, x: str, lam: Weight, g: float,
                    tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every scenario admits a recourse point with weighted sum within the
     guarantee: ``Tolerance.leq`` is monotone in its first argument, so it
     suffices to test the minimum."""
-    gv = _gval(g)
-    return all(tol.leq(m, gv) for m in _ws_minima(inst, x, lam))
+    return all(tol.leq(m, g) for m in _ws_minima(inst, x, lam))
 
 
-def check_eps_bound(inst: Instance, x: str, gb: GenBound, g,
+def check_eps_bound(inst: Instance, x: str, gb: GenBound, g: float,
                     tol: Tolerance = DEFAULT_TOL) -> bool:
     """Every scenario admits a point meeting all caps and the guarantee on
     objective ``j``: by monotonicity of ``Tolerance.leq`` it suffices to
     test the capped minimum.  A scenario where no point meets the caps has
     minimum +inf and fails even an infinite guarantee."""
-    gv = _gval(g)
-    return all(m < INF and tol.leq(m, gv) for m in _eps_minima(inst, x, gb, tol))
+    return all(m < INF and tol.leq(m, g) for m in _eps_minima(inst, x, gb, tol))
 
 
 def pb_trivial_bounds(inst: Instance, x: str,

@@ -20,7 +20,7 @@ from .efficiency import (
     maro_efficient,
     mro_efficient,
 )
-from .images import BoundGrid, _dominated, image_eps_grid, image_pb, simplex_grid
+from .images import _dominated, image_eps_grid, image_pb, simplex_grid
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, make_instance
 from .pareto import Orientation, inner_efficient, nondominated
 from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp
@@ -223,14 +223,14 @@ def _thm_ws_implies_ms(ctx: _Context, rep: CheckReport):
     rep.instances = rep.cases = len(ctx.lams)
     for lam in ctx.lams:
         sel = ws_efficient_set(inst, lam, Strictness.STRICT, tol)
-        if sel.entries:
+        if sel.guarantees:
             rep.non_vacuous += 1
         spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam.values)
-        for x, g in sel.entries:
+        for x, g in sel.guarantees.items():
             v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec, tol)
             if not v.efficient:
                 rep.fail(inst, f"x={x} strictly ws-efficient for lam={_fmt_vec(lam.values)} "
-                               f"(value {g.value:.17g}) but multi-scenario dominated by "
+                               f"(value {g:.17g}) but multi-scenario dominated by "
                                f"{v.witness.xprime}")
 
 
@@ -241,12 +241,12 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
     minimized instead."""
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
     rep.cases = 1
-    for x, g in eps_efficient_set(inst, gb, Strictness.STRICT, tol).entries:
-        if g.value == INF:
+    for x, g in eps_efficient_set(inst, gb, Strictness.STRICT, tol).guarantees.items():
+        if g == INF:
             continue
         rep.non_vacuous = 1
         eps2 = tuple(
-            g.value if i == gb.j - 1 else gb.eps[i] for i in range(inst.n)
+            g if i == gb.j - 1 else gb.eps[i] for i in range(inst.n)
         )
         for j2 in range(1, inst.n + 1):
             sel2 = eps_efficient_set(inst, GenBound(eps2, j2), Strictness.STRICT, tol)
@@ -254,7 +254,7 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
                 rep.fail(
                     inst,
                     f"x={x} strict for eps={_fmt_vec(gb.eps)} j={gb.j} "
-                    f"(guarantee {g.value:.17g}) but not strict for "
+                    f"(guarantee {g:.17g}) but not strict for "
                     f"eps'={_fmt_vec(eps2)} j={j2}; got {sel2.decisions}"
                 )
 
@@ -266,9 +266,9 @@ def _thm_eps_implies_ms_lower(ctx: _Context, rep: CheckReport):
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
     rep.cases = 1
     sel = eps_efficient_set(inst, gb, Strictness.STRICT, tol)
-    if sel.entries:
+    if sel.guarantees:
         rep.non_vacuous = 1
-    for x, g in sel.entries:
+    for x in sel.guarantees:
         v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, ctx.specs[1], tol)
         if not v.efficient:
             rep.fail(inst, f"x={x} strictly eps-efficient for eps={_fmt_vec(gb.eps)} "
@@ -283,7 +283,7 @@ def _eps_image_weakly_nondominated(ctx: _Context, rep: CheckReport):
         return
     for j in range(1, inst.n + 1):
         rep.cases += 1
-        img = image_eps_grid(inst, BoundGrid(j, tuple(ctx.eps_list)), tol)
+        img = image_eps_grid(inst, tuple(GenBound(e, j) for e in ctx.eps_list), tol)
         for p in _dominated(img.points, VecRel.LT, tol):
             rep.fail(inst, f"j={j}: image point {_fmt_vec(p)} strictly dominated")
 
@@ -316,22 +316,22 @@ def _ws_bound(ctx: _Context, rep: CheckReport):
     """Weighted-sum guarantees really bound every scenario."""
     inst, tol = ctx.inst, ctx.tol
     for lam in ctx.lams:
-        for x, g in ws_efficient_set(inst, lam, Strictness.PLAIN, tol).entries:
+        for x, g in ws_efficient_set(inst, lam, Strictness.PLAIN, tol).guarantees.items():
             rep.cases += 1
             if not check_ws_bound(inst, x, lam, g, tol):
-                rep.fail(inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g.value:.17g}")
+                rep.fail(inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g:.17g}")
 
 
 @_check("remark_eps_bound")
 def _eps_bound(ctx: _Context, rep: CheckReport):
     """Finite constraint guarantees really bound every scenario."""
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
-    for x, g in eps_efficient_set(inst, gb, Strictness.PLAIN, tol).entries:
-        if g.value == INF:
+    for x, g in eps_efficient_set(inst, gb, Strictness.PLAIN, tol).guarantees.items():
+        if g == INF:
             continue
         rep.cases += 1
         if not check_eps_bound(inst, x, gb, g, tol):
-            rep.fail(inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g.value:.17g}")
+            rep.fail(inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g:.17g}")
 
 
 @_check("remark_pb_sandwich")
@@ -473,37 +473,27 @@ def _weak_flimsy_via_mco(ctx: _Context, rep: CheckReport):
 ALL_CHECKS = tuple(_CHECKS)
 
 
-def _run_check(cid: str, ctx: _Context) -> CheckReport:
-    rep = CheckReport(cid, instances=1)
-    _CHECKS[cid](ctx, rep)
-    return rep
+def _selected(check_ids) -> list[str]:
+    """The named checks in registry order; every check when none is named."""
+    wanted = set(check_ids) if check_ids else set(ALL_CHECKS)
+    unknown = wanted - set(ALL_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    return [cid for cid in ALL_CHECKS if cid in wanted]
 
 
-def check_thm_ws_implies_ms(inst: Instance, lam: Weight,
-                            tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """The ``thm_ws_implies_ms`` check for one weight vector."""
-    return _run_check("thm_ws_implies_ms", _Context(inst, tol, lams=(lam,)))
-
-
-def check_thm_eps_switch(inst: Instance, gb: GenBound,
-                         tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """The ``thm_eps_switch`` check for one generating bound."""
-    return _run_check("thm_eps_switch", _Context(inst, tol, gb=gb))
-
-
-def check_thm_eps_implies_ms_lower(inst: Instance, gb: GenBound,
-                                   tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """The ``thm_eps_implies_ms_lower`` check for one generating bound."""
-    return _run_check("thm_eps_implies_ms_lower", _Context(inst, tol, gb=gb))
-
-
-def check_lemmas_and_remarks(inst: Instance, lams: list[Weight], gb: GenBound,
-                             eps_list: list[Vec] | None = None,
-                             tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
-    """Per-instance battery of the remaining proved statements and recorded
-    observations, one report per check id after the three theorems."""
+def check_instance(inst: Instance, check_ids: list[str] | None, lams: list[Weight] = (),
+                   gb: GenBound | None = None, eps_list: list[Vec] | None = None,
+                   tol: Tolerance = DEFAULT_TOL) -> dict[str, CheckReport]:
+    """Run the named checks (every check when none is named) on one instance
+    with the given weight vectors, generating bound and bound list; one
+    report per check id, in registry order."""
     ctx = _Context(inst, tol, lams, gb, eps_list)
-    return [_run_check(cid, ctx) for cid in ALL_CHECKS[3:]]
+    reports = {}
+    for cid in _selected(check_ids):
+        reports[cid] = rep = CheckReport(cid, instances=1)
+        _CHECKS[cid](ctx, rep)
+    return reports
 
 
 def _battery_weights(n: int) -> list[Weight]:
@@ -545,11 +535,7 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
     """
     if count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
-    wanted = set(check_ids) if check_ids else set(ALL_CHECKS)
-    unknown = wanted - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown check ids: {sorted(unknown)}")
-    selected = [cid for cid in ALL_CHECKS if cid in wanted]
+    selected = _selected(check_ids)
     rng = random.Random(seed)
     merged = {cid: CheckReport(cid) for cid in selected}
     for _ in range(count):
@@ -572,7 +558,6 @@ def run_battery(seed: int, count: int = 500, check_ids: list[str] | None = None,
         eps_list = [
             tuple(float(rng.randint(4, 22)) for _ in range(inst.n)) for _ in range(4)
         ]
-        ctx = _Context(inst, tol, lams, gb, eps_list)
-        for cid in selected:
-            merged[cid].merge(_run_check(cid, ctx))
+        for cid, rep in check_instance(inst, selected, lams, gb, eps_list, tol).items():
+            merged[cid].merge(rep)
     return BatteryReport(seed, count, jitter, merged)

@@ -459,15 +459,24 @@ def test_instance_documents_end_in_exit_0_or_one_error_line(tmp_path):
 
 
 def test_plot_from_image_output(tmp_path, capsys):
-    code, out, _ = run(capsys, "image", "pb", "--fixture", "FIG4")
-    src = tmp_path / "points.json"
-    src.write_text(out)
-    dst = tmp_path / "front.svg"
-    code, _, err = run(capsys, "plot", "--in", str(src), "--out", str(dst))
-    assert code == 0
-    svg = dst.read_text()
-    assert svg.startswith("<svg") and "circle" in svg
-    assert "wrote" in err
+    # plot --in reads plain points and the {"lambda", "point"} entries of a grid
+    for image in (("pb",), ("ws", "--grid-k", "2")):
+        code, out, _ = run(capsys, "image", *image, "--fixture", "FIG4")
+        assert code == 0
+        points = [tuple(p["point"] if isinstance(p, dict) else p)
+                  for p in json.loads(out)["points"]]
+        src = tmp_path / "points.json"
+        src.write_text(out)
+        dst = tmp_path / "front.svg"
+        code, _, err = run(capsys, "plot", "--in", str(src), "--out", str(dst))
+        assert (code, err) == (0, f"wrote {dst}\n")
+        assert dst.read_text() == render_svg([("points", points)])
+
+
+def test_plot_refuses_non_finite_points(tmp_path, capsys):
+    src = tmp_path / "inf.json"
+    src.write_text("[[Infinity, 0], [1, 2]]")
+    assert run(capsys, "plot", "--in", str(src)) == (2, "", "maro: cannot plot non-finite points\n")
 
 
 def test_plot_range_beyond_the_float_range(tmp_path, capsys):
@@ -519,6 +528,26 @@ def test_plot_draws_the_points_of_image(capsys, what, flags, connect):
     (("plot", *_FIG2L, "--what", "eps", "--eps", "_,0", "--j", "1"),
      "constraint image is infeasible; nothing to plot"),
     (("plot", *_FIG2L), "plot needs --in FILE or --what ws|eps|pb"),
+    # an option of an image the command does not build, or a second choice
+    # within one image, is refused rather than dropped
+    (("image", "ws", *_FIG2L, "--lambda", "0.5,0.5", "--grid-k", "1"),
+     "--grid-k and --lambda are exclusive"),
+    (("image", "ws", *_FIG2L, "--grid-k", "2", "--j", "1"), "--j does not apply to the ws image"),
+    (("image", "eps", *_FIG2L, "--eps", "_,0", "--eps-list", "F", "--j", "1"),
+     "--eps-list and --eps are exclusive"),
+    (("image", "eps", *_FIG2L, "--eps", "_,7", "--j", "1", "--lambda", "0.5,0.5"),
+     "--lambda does not apply to the eps image"),
+    (("image", "eps", *_FIG2L, "--eps", "_,7", "--j", "1", "--grid-k", "2"),
+     "--grid-k does not apply to the eps image"),
+    (("image", "pb", *_FIG2L, "--lambda", "0.5,0.5", "--j", "1", "--eps", "1,1",
+      "--grid-k", "2"), "--lambda does not apply to the pb image"),
+    (("image", "pb", *_FIG2L, "--eps-list", "F"), "--eps-list does not apply to the pb image"),
+    (("plot", *_FIG2L, "--what", "pb", "--lambda", "0.5,0.5"),
+     "--lambda does not apply to the pb image"),
+    (("plot", *_FIG2L, "--what", "ws", "--lambda", "0.5,0.5", "--j", "1"),
+     "--j does not apply to the ws image"),
+    (("plot", *_FIG2L, "--what", "eps", "--eps", "_,7", "--j", "1", "--lambda", "0.5,0.5"),
+     "--lambda does not apply to the eps image"),
 ])
 def test_usage_errors_exit_2_with_one_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"maro: {message}\n")
@@ -613,26 +642,24 @@ def test_tolerance_flag(capsys):
 
 # -- import footprint: each subcommand loads only the modules it runs --------
 
-# the package surface, by defining module, as the eager package init exported it
+# the package surface, by defining module
 SURFACE = {
     "efficiency": ("Kind", "SmaroResult", "Strictness", "Verdict", "Witness",
                    "maro_efficient", "mro_efficient", "smaro_set"),
     "fixtures": ("FIXTURE_NAMES", "fixture", "fixture_meta"),
-    "images": ("BoundGrid", "EpsGridImage", "EpsImagePoint", "WeightGrid",
-               "compare_concepts", "image_eps", "image_eps_grid", "image_pb",
-               "image_ws", "image_ws_grid", "render_svg", "simplex_grid",
-               "ws_image_gaps"),
+    "images": ("EpsGridImage", "EpsImagePoint", "WeightGrid", "compare_concepts",
+               "image_eps", "image_eps_grid", "image_pb", "image_ws", "image_ws_grid",
+               "render_svg", "simplex_grid", "ws_image_gaps"),
     "instances": ("DEFAULT_TOL", "INF", "Instance", "InstanceError", "Tolerance",
                   "Vec", "dump_instance", "load_instance", "make_instance"),
     "pareto": ("FrontSet", "Orientation", "ideal", "inner_efficient", "nondominated"),
     "relations": ("SetRelFamily", "SetRelSpec", "VecRel", "Weight", "parse_relation",
                   "set_cmp", "vec_cmp"),
-    "scalarize": ("GenBound", "Guarantee", "Selection", "check_eps_bound",
-                  "check_ws_bound", "eps_efficient_set", "f_eps_j", "f_lambda",
-                  "f_pb", "pb_efficient_set", "pb_trivial_bounds", "ws_efficient_set"),
-    "verify": ("BatteryReport", "CheckReport", "GenConfig", "check_lemmas_and_remarks",
-               "check_thm_eps_implies_ms_lower", "check_thm_eps_switch",
-               "check_thm_ws_implies_ms", "generate", "run_battery"),
+    "scalarize": ("GenBound", "Selection", "check_eps_bound", "check_ws_bound",
+                  "eps_efficient_set", "f_eps_j", "f_lambda", "f_pb", "pb_efficient_set",
+                  "pb_trivial_bounds", "ws_efficient_set"),
+    "verify": ("BatteryReport", "CheckReport", "GenConfig", "check_instance", "generate",
+               "run_battery"),
 }
 
 _SRC = os.path.dirname(os.path.dirname(maro.__file__))
@@ -644,6 +671,19 @@ def _child(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     return proc.stdout
+
+
+def test_module_entry_point():
+    # python -m maro.cli exits with the code of main
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "maro.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=_SRC),
+                              capture_output=True, text=True)
+
+    ok = cli("validate", *_FIG2L)
+    assert (ok.returncode, ok.stderr) == (0, "") and json.loads(ok.stdout)["ok"]
+    bad = cli("efficiency", *_FIG2L, "--x", "x9", "--kind", "flimsy")
+    assert (bad.returncode, bad.stdout, bad.stderr) == (2, "", "maro: unknown decision 'x9'\n")
 
 
 def _modules_after(argv: list[str]) -> set[str]:
@@ -684,7 +724,7 @@ def test_concept_commands_do_not_load_the_harness(argv):
 def test_package_surface_is_pinned():
     names = [name for names in SURFACE.values() for name in names]
     assert maro.__all__ == sorted([*names, *SURFACE])
-    assert len(maro.__all__) == 74
+    assert len(maro.__all__) == 69
     for module, names in SURFACE.items():
         home = importlib.import_module(f"maro.{module}")
         assert getattr(maro, module) is home

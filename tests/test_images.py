@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 
 from maro import (
-    BoundGrid,
     GenBound,
     INF,
     VecRel,
@@ -71,6 +70,11 @@ def test_fig3s_gap_surrogate_fires():
     assert [round(g.distance, 2) for g in gaps] == [2.70, 2.74]
 
 
+def test_gap_surrogate_on_a_one_point_image():
+    solo = make_instance("solo", 2, ["x"], ["u"], {"x": {"u": [(1, 2)]}})
+    assert ws_image_gaps(solo, WeightGrid(2, 4)) == ()
+
+
 def test_image_eps_examples():
     fig2l = fixture("FIG2L")
     one = image_eps(fig2l, GenBound((0, 7), 1))
@@ -83,8 +87,7 @@ def test_image_eps_examples():
 
 def test_image_eps_grid_weak_nondominance():
     fig2l = fixture("FIG2L")
-    grid = BoundGrid(1, tuple((0.0, e2) for e2 in (5, 6, 7, 8)))
-    img = image_eps_grid(fig2l, grid)
+    img = image_eps_grid(fig2l, tuple(GenBound((0.0, e2), 1) for e2 in (5, 6, 7, 8)))
     assert img.points == ((7, 6), (7, 7), (7, 8))
     assert img.infeasible == ((INF, 5),)
     for p in img.points:
@@ -92,7 +95,7 @@ def test_image_eps_grid_weak_nondominance():
 
 
 def test_image_eps_grid_singleton():
-    img = image_eps_grid(fixture("FIG2R"), BoundGrid(1, ((0.0, 4.0),)))
+    img = image_eps_grid(fixture("FIG2R"), (GenBound((0.0, 4.0), 1),))
     assert img.points == ((4.0, 4.0),)
 
 
@@ -129,14 +132,14 @@ def test_eps_image_points_weakly_nondominated(inst):
         tuple(float(6 + 3 * k) for _ in range(inst.n)) for k in range(4)
     )
     for j in range(1, inst.n + 1):
-        img = image_eps_grid(inst, BoundGrid(j, eps_list))
+        img = image_eps_grid(inst, tuple(GenBound(e, j) for e in eps_list))
         for p in img.points:
             assert not any(q != p and vec_cmp(q, p, VecRel.LT) for q in img.points)
 
 
 def test_bound_grid_validation():
     with pytest.raises(ValueError, match="at least one"):
-        BoundGrid(1, ())
+        image_eps_grid(fixture("FIG2L"), ())
     with pytest.raises(ValueError, match="n >= 1"):
         simplex_grid(0, 3)
 

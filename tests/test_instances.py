@@ -211,6 +211,12 @@ def test_instance_requires_nonempty_axes():
         Instance("z", 2, ("x",), (), {})
 
 
+def test_instance_refuses_unexpected_recourse_keys():
+    with pytest.raises(InstanceError) as err:
+        Instance("a", 1, ("x",), ("u",), {("x", "u"): ((1.0,),), ("y", "u"): ((1.0,),)})
+    assert str(err.value) == "recourse: unexpected keys [('y', 'u')]"
+
+
 @pytest.mark.parametrize("n", [True, False])
 def test_instance_refuses_a_boolean_objective_count(n):
     # bool is an int subclass; True would otherwise pass and be dumped as

@@ -59,7 +59,7 @@ def test_ws_efficient_set_examples():
     fig2l = fixture("FIG2L")
     plain = ws_efficient_set(fig2l, HALF, Strictness.PLAIN)
     assert plain.decisions == ("x2",)
-    assert plain.entries[0][1].value == 5
+    assert plain.guarantees == {"x2": 5}
     strict = ws_efficient_set(fig2l, HALF, Strictness.STRICT)
     assert strict.decisions == ("x2",) and not strict.strict_empty_tie
 
@@ -88,17 +88,17 @@ def test_eps_efficient_set_examples():
     fig2l = fixture("FIG2L")
     plain = eps_efficient_set(fig2l, GenBound((0, 7), 1), Strictness.PLAIN)
     assert plain.decisions == ("x2",)
-    assert plain.entries[0][1].value == 7
+    assert plain.guarantees == {"x2": 7}
     assert not plain.infeasible
 
     both_inf = eps_efficient_set(fig2l, GenBound((0, 4), 1), Strictness.PLAIN)
     assert both_inf.decisions == ("x1", "x2")
     assert both_inf.infeasible
-    assert all(g.value == INF for _, g in both_inf.entries)
+    assert both_inf.guarantees == {"x1": INF, "x2": INF}
 
     strict = eps_efficient_set(fixture("FIG2R"), GenBound((0, 4), 1), Strictness.STRICT)
     assert strict.decisions == ("x2",)
-    assert strict.entries[0][1].value == 4
+    assert strict.guarantees == {"x2": 4}
 
 
 def test_all_infeasible_strict_set_is_empty_and_flagged():
@@ -169,11 +169,11 @@ def test_genbound_validation():
 @given(instances)
 def test_guarantees_satisfy_their_bounds(inst):
     lam = Weight(tuple(1.0 / inst.n for _ in range(inst.n)))
-    for x, g in ws_efficient_set(inst, lam, Strictness.PLAIN).entries:
+    for x, g in ws_efficient_set(inst, lam, Strictness.PLAIN).guarantees.items():
         assert check_ws_bound(inst, x, lam, g)
     gb = GenBound(tuple(12.0 for _ in range(inst.n)), 1)
-    for x, g in eps_efficient_set(inst, gb, Strictness.PLAIN).entries:
-        if g.value < INF:
+    for x, g in eps_efficient_set(inst, gb, Strictness.PLAIN).guarantees.items():
+        if g < INF:
             assert check_eps_bound(inst, x, gb, g)
 
 

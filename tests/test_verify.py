@@ -10,10 +10,7 @@ from maro import (
     Tolerance,
     Weight,
     check_eps_bound,
-    check_lemmas_and_remarks,
-    check_thm_eps_implies_ms_lower,
-    check_thm_eps_switch,
-    check_thm_ws_implies_ms,
+    check_instance,
     check_ws_bound,
     compare_concepts,
     dump_instance,
@@ -73,8 +70,13 @@ def test_config_range_validation():
         GenConfig(seed=1, n=4)
 
 
+def _check(inst, cid, **params):
+    """The report of one check on one instance."""
+    return check_instance(inst, [cid], **params)[cid]
+
+
 def test_thm_ws_check_on_fig2l():
-    rep = check_thm_ws_implies_ms(fixture("FIG2L"), HALF)
+    rep = _check(fixture("FIG2L"), "thm_ws_implies_ms", lams=[HALF])
     assert rep.passed and rep.non_vacuous == 1
 
 
@@ -83,22 +85,22 @@ def test_thm_ws_check_vacuous_on_ties():
         "twins", 2, ["a", "b"], ["u"],
         {"a": {"u": [(1, 3)]}, "b": {"u": [(1, 3)]}},
     )
-    rep = check_thm_ws_implies_ms(twins, HALF)
+    rep = _check(twins, "thm_ws_implies_ms", lams=[HALF])
     assert rep.passed and rep.non_vacuous == 0
 
 
 def test_thm_eps_switch_on_fig2r():
-    rep = check_thm_eps_switch(fixture("FIG2R"), GenBound((0, 4), 1))
+    rep = _check(fixture("FIG2R"), "thm_eps_switch", gb=GenBound((0, 4), 1))
     assert rep.passed and rep.non_vacuous == 1
 
 
 def test_thm_eps_switch_vacuous_when_infeasible():
-    rep = check_thm_eps_switch(fixture("FIG2L"), GenBound((0, 4), 1))
+    rep = _check(fixture("FIG2L"), "thm_eps_switch", gb=GenBound((0, 4), 1))
     assert rep.passed and rep.non_vacuous == 0
 
 
 def test_thm_eps_implies_ms_lower_on_fig2r():
-    rep = check_thm_eps_implies_ms_lower(fixture("FIG2R"), GenBound((0, 4), 1))
+    rep = _check(fixture("FIG2R"), "thm_eps_implies_ms_lower", gb=GenBound((0, 4), 1))
     assert rep.passed and rep.non_vacuous == 1
 
 
@@ -107,7 +109,7 @@ def test_thm_eps_implies_ms_lower_vacuous_when_strict_set_empty():
         "twins", 2, ["a", "b"], ["u"],
         {"a": {"u": [(1, 3)]}, "b": {"u": [(1, 3)]}},
     )
-    rep = check_thm_eps_implies_ms_lower(twins, GenBound((9, 9), 1))
+    rep = _check(twins, "thm_eps_implies_ms_lower", gb=GenBound((9, 9), 1))
     assert rep.passed and rep.non_vacuous == 0
 
 
@@ -116,8 +118,9 @@ def test_lemma_battery_on_fixtures():
         inst = fixture(name)
         gb = GenBound(tuple(8.0 for _ in range(inst.n)), 1)
         eps_list = [(0.0, 5.0), (0.0, 7.0), (9.0, 9.0)]
-        reports = check_lemmas_and_remarks(inst, [HALF], gb, eps_list)
-        for rep in reports:
+        reports = check_instance(inst, list(ALL_CHECKS), [HALF], gb, eps_list)
+        assert list(reports) == list(ALL_CHECKS)
+        for rep in reports.values():
             assert rep.passed, (name, rep.check_id, rep.violations)
 
 
@@ -157,6 +160,8 @@ def test_battery_check_filter_and_unknown_id():
     assert set(rep.reports) == {"thm_ws_implies_ms"}
     with pytest.raises(ValueError, match="unknown check ids"):
         run_battery(5, 5, ["nope"])
+    with pytest.raises(ValueError, match="unknown check ids"):
+        check_instance(fixture("FIG2L"), ["nope"])
 
 
 def test_battery_rejects_non_positive_count():
@@ -243,6 +248,77 @@ def test_selected_check_computes_no_verdicts(monkeypatch):
     monkeypatch.setattr("maro.verify.maro_efficient", no_verdict)
     rep = run_battery(123, 20, ["remark_pb_sandwich", "eps_value_monotone"])
     assert rep.passed and set(rep.reports) == {"remark_pb_sandwich", "eps_value_monotone"}
+
+
+def _plant_ws_min_drops_last_point(monkeypatch):
+    import maro.scalarize
+
+    real = maro.scalarize.weighted_min
+    monkeypatch.setattr("maro.scalarize.weighted_min",
+                        lambda pts, lam: real(pts[:-1] if len(pts) > 1 else pts, lam))
+
+
+def _plant_eps_minima_ignore_caps(monkeypatch):
+    def uncapped(inst, x, gb, tol):
+        return tuple(min(p[gb.j - 1] for p in inst.points(x, u)) for u in inst.scenarios)
+
+    monkeypatch.setattr("maro.scalarize._eps_minima", uncapped)
+
+
+def _plant_bound_checks_fail(monkeypatch):
+    monkeypatch.setattr("maro.verify.check_ws_bound", lambda *args, **kwargs: False)
+    monkeypatch.setattr("maro.verify.check_eps_bound", lambda *args, **kwargs: False)
+
+
+def _plant_multi_scenario_reads_first_scenario(monkeypatch):
+    import maro.efficiency
+
+    real = maro.efficiency._decide
+
+    def first_only(inst, x, kind, dominates, dominates_all):
+        if kind is Kind.MULTI_SCENARIO:
+            u0 = inst.scenarios[0]
+            return real(inst, x, kind, dominates, lambda xp: dominates(xp, u0))
+        return real(inst, x, kind, dominates, dominates_all)
+
+    monkeypatch.setattr("maro.efficiency._decide", first_only)
+
+
+# plant -> {check id: (violation count, first violation detail)} of
+# run_battery(42, 60) restricted to those checks
+PLANTED_DEFECTS = [
+    (_plant_ws_min_drops_last_point, {
+        "thm_ws_implies_ms": (20, "x=x3 strictly ws-efficient for lam=(0.5, 0.5) (value 8.5) "
+                                  "but multi-scenario dominated by x1"),
+    }),
+    (_plant_eps_minima_ignore_caps, {
+        "thm_eps_switch": (58, "x=x2 strict for eps=(10, 9) j=1 (guarantee 0) but not strict "
+                               "for eps'=(0, 9) j=2; got ('x1',)"),
+    }),
+    (_plant_bound_checks_fail, {
+        "remark_ws_bound": (333, "x=x2 lam=(1, 0) guarantee 0"),
+        "remark_eps_bound": (68, "x=x4 eps=(10, 9) j=1 guarantee 3"),
+    }),
+    (_plant_multi_scenario_reads_first_scenario, {
+        "thm_ws_implies_ms": (126, "x=x4 strictly ws-efficient for lam=(0.75, 0.25) (value 4) "
+                                   "but multi-scenario dominated by x3"),
+        "thm_eps_implies_ms_lower": (7, "x=x3 strictly eps-efficient for eps=(20, 14) j=1 "
+                                        "but multi-scenario dominated by x2"),
+    }),
+]
+
+
+@pytest.mark.parametrize("plant,expected", PLANTED_DEFECTS,
+                         ids=[plant.__name__[len("_plant_"):] for plant, _ in PLANTED_DEFECTS])
+def test_planted_defects_fail_their_checks(monkeypatch, plant, expected):
+    # each defect, planted in-process, makes exactly its checks report
+    # violations, with details that format the offending guarantee or value
+    assert run_battery(42, 60, check_ids=list(expected)).passed
+    plant(monkeypatch)
+    rep = run_battery(42, 60, check_ids=list(expected))
+    got = {cid: (len(r.violations), r.violations[0].detail) for cid, r in rep.reports.items()
+           if r.violations}
+    assert got == expected
 
 
 def test_battery_computes_each_verdict_once(monkeypatch):
