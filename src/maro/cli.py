@@ -134,39 +134,25 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    from .efficiency import _VEC_REL, Kind, Strictness, maro_efficient, mro_efficient
-    from .relations import VecRel, parse_relation
+    from .efficiency import Kind, Strictness, maro_efficient, mro_efficient
+    from .relations import parse_relation
 
     inst, tol = _load(args)
-    # --rel and the strictness flags default to None, so that --mro can tell
-    # an explicit choice it cannot honour from the three-stage defaults
-    strictness = Strictness(args.strictness or "strict")
-    rel_text = "l" if args.rel is None else args.rel
-    rel = parse_relation(rel_text)
+    strictness = Strictness(args.strictness)
     kind = Kind(args.kind)
     if args.mro:
         if args.rel is not None:
-            if not isinstance(rel, VecRel):
-                raise UsageError(f"--rel {args.rel}: set relations apply to three-stage "
-                                 f"checks; --mro takes leqq, leq or lt")
-            strictness = {r: s for s, r in _VEC_REL.items()}[rel]
-            if args.strictness not in (None, strictness.value):
-                raise UsageError(f"--rel {args.rel} selects {strictness.value} "
-                                 f"strictness, which conflicts with --{args.strictness}")
+            raise UsageError(f"--rel {args.rel}: --mro checks take their vector relation "
+                             f"from --strict, --plain or --weak")
         verdict = mro_efficient(inst, args.x, kind, strictness, tol)
         relation = strictness.value
     else:
-        if isinstance(rel, VecRel):
-            raise UsageError("vector relations apply to --mro checks; "
-                             "three-stage notions need u, l, or lmin:<csv>")
-        if rel.strict:
-            raise UsageError(f"--rel {args.rel}: three-stage checks take the relation's "
-                             f"strictness from the notion; drop the -strict suffix")
+        relation = "l" if args.rel is None else args.rel
+        spec = parse_relation(relation)
         if kind is Kind.POINT_BASED:
             raise UsageError("point-based is a two-stage notion; add --mro "
                              "or use solve-pb")
-        verdict = maro_efficient(inst, args.x, kind, strictness, rel, tol)
-        relation = rel_text
+        verdict = maro_efficient(inst, args.x, kind, strictness, spec, tol)
     doc = {
         "instance": inst.name,
         "x": args.x,
@@ -345,10 +331,18 @@ def _extract_points(doc) -> list[tuple[float, ...]]:
     return pts
 
 
+# (attribute, option) of the instance mode, which plot --in does not read
+_PLOT_INSTANCE_OPTIONS = (("what", "--what"), ("lam", "--lambda"), ("eps", "--eps"),
+                          ("j", "--j"), ("instance", "--instance"), ("fixture", "--fixture"))
+
+
 def _cmd_plot(args) -> int:
     from .images import render_svg
 
     if args.infile:
+        for attr, option in _PLOT_INSTANCE_OPTIONS:
+            if getattr(args, attr) is not None:
+                raise UsageError(f"{option} does not apply to plot --in")
         doc = _read_json(args.infile, args.infile)
         label, points = args.label or "points", _extract_points(doc)
     else:
@@ -359,14 +353,17 @@ def _cmd_plot(args) -> int:
             raise UsageError("plot --what ws needs --lambda")
         if args.what == "eps" and (not args.eps or args.j is None):
             raise UsageError("plot --what eps needs --eps and --j")
-        label = args.what
+        label = args.label or args.what
         _, _, points = _image(args, inst, tol)
         if args.what == "eps" and not points:
             raise UsageError("constraint image is infeasible; nothing to plot")
     svg = render_svg([(label, points)], connect=args.connect)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out}: {e.strerror}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(svg)
@@ -449,11 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weak", dest="strictness", action="store_const", const="weak")
     g.add_argument("--plain", dest="strictness", action="store_const", const="plain")
     p.add_argument("--rel",
-                   help="set relation u, l or lmin:<csv> (default l), whose strictness "
-                        "follows the notion; with --mro, leqq, leq or lt")
+                   help="set relation u, l or lmin:<csv> (default l) of a three-stage "
+                        "check, whose strictness follows the notion")
     p.add_argument("--mro", action="store_true",
-                   help="evaluate the two-stage robust notion (singleton recourse)")
-    p.set_defaults(fn=_cmd_efficiency)
+                   help="evaluate the two-stage robust notion (singleton recourse), "
+                        "whose vector relation follows --strict, --plain or --weak")
+    p.set_defaults(fn=_cmd_efficiency, strictness="strict")
 
     p = sub.add_parser("solve-ws", help="weighted-sum efficient set")
     _add_instance_args(p)
@@ -489,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--in", dest="infile", metavar="FILE",
                    help="point list or image JSON from 'maro image'")
-    p.add_argument("--label", help="legend label for --in data")
+    p.add_argument("--label", help="legend label (default: points, or the --what image)")
     p.add_argument("--what", choices=["ws", "eps", "pb"])
     p.add_argument("--lambda", dest="lam", metavar="CSV")
     p.add_argument("--eps", metavar="CSV")

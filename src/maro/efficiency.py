@@ -75,12 +75,6 @@ class Verdict:
 _EFFICIENT = Verdict(True, None)
 
 
-def derived_set_relation(spec: SetRelSpec, strictness: Strictness) -> SetRelSpec:
-    """Strictness of the deciding set relation is derived from the notion:
-    strict notions use the non-strict relation, weak notions the strict one."""
-    return spec.with_strict(strictness is Strictness.WEAK)
-
-
 def _check_decision(inst: Instance, x: str):
     if x not in inst.decisions:
         raise InstanceError(f"unknown decision {x!r}")
@@ -133,15 +127,15 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
         raise ValueError("three-stage notions come in strict/weak variants only")
     if kind is Kind.MULTI_SCENARIO and strictness is not Strictness.STRICT:
         raise ValueError("weak multi-scenario efficiency is undefined")
-    rel = derived_set_relation(spec, strictness)
-    if rel.family is SetRelFamily.LAMBDA_MIN and len(rel.lam) != inst.n:
-        raise ValueError(f"weight vector has length {len(rel.lam)}, points have {inst.n}")
+    if spec.family is SetRelFamily.LAMBDA_MIN and len(spec.lam) != inst.n:
+        raise ValueError(f"weight vector has length {len(spec.lam)}, points have {inst.n}")
+    strict = strictness is Strictness.WEAK
     mine = {u: inner_efficient(inst, x, u, tol).points for u in inst.scenarios}
 
     # the cached fronts are non-empty, n-dimensional and finite and the
     # weight vector was checked above, so the scan skips set_cmp's checks
     def dominates(xp: str, u: str) -> bool:
-        return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], rel, tol.tau)
+        return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], spec, strict, tol.tau)
 
     hit = inst._cache[key] = _decide(inst, x, kind, dominates,
                                      lambda xp: all(dominates(xp, u) for u in inst.scenarios))

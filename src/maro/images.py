@@ -319,6 +319,7 @@ def render_svg(datasets: list[tuple[str, list[Vec]]], connect: bool = False) -> 
         for p in ordered:
             out.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="4" '
                        f'fill="{color}"/>')
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{size - margin:g}" y="{margin + 20 * di:g}" '
                    f'text-anchor="end" font-size="14" fill="{color}">{label}</text>')
     out.append("</svg>")

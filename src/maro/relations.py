@@ -20,7 +20,7 @@ finiteness branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .instances import DEFAULT_TOL, Tolerance, Vec, _below
@@ -53,14 +53,14 @@ def _check_lam(lam: Vec):
 
 @dataclass(frozen=True)
 class SetRelSpec:
-    """A selected set relation: family, strictness, and weights if needed.
+    """A selected family of set relations, and its weights if needed; the
+    strict or non-strict variant is chosen per comparison.
 
     ``lam`` is required exactly for the weighted-minimum family; it must be
     finite, non-negative and non-zero but need not be normalized.
     """
 
     family: SetRelFamily
-    strict: bool = False
     lam: Vec | None = None
 
     def __post_init__(self):
@@ -71,15 +71,6 @@ class SetRelSpec:
             _check_lam(self.lam)
         elif self.lam is not None:
             raise ValueError(f"{self.family.value}: weight vector only applies to lambda-min")
-
-    def with_strict(self, strict: bool) -> "SetRelSpec":
-        """This relation with the given strictness; the other variant is
-        built on first use and kept, so deriving it again costs nothing."""
-        if strict == self.strict:
-            return self
-        if "_twin" not in self.__dict__:
-            object.__setattr__(self, "_twin", replace(self, strict=strict))
-        return self._twin
 
 
 @dataclass(frozen=True)
@@ -129,10 +120,10 @@ def weighted_min(points, lam: Vec) -> float:
     return min(dot(lam, p) for p in points)
 
 
-def _set_leq(A, B, spec: SetRelSpec, tau: float) -> bool:
-    """``A <= B`` under ``spec`` with slack ``tau``, for non-empty sequences
-    of points of one dimension (the weight vector's, for lambda-min)."""
-    strict = spec.strict
+def _set_leq(A, B, spec: SetRelSpec, strict: bool, tau: float) -> bool:
+    """``A <= B`` under ``spec``'s strict or non-strict variant with slack
+    ``tau``, for non-empty sequences of points of one dimension (the weight
+    vector's, for lambda-min)."""
     if spec.family is SetRelFamily.LAMBDA_MIN:
         return _below((weighted_min(A, spec.lam),), (weighted_min(B, spec.lam),), strict, tau)
     if spec.family is SetRelFamily.UPPER:
@@ -154,8 +145,10 @@ def _set_leq(A, B, spec: SetRelSpec, tau: float) -> bool:
     return True
 
 
-def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Compare two non-empty finite point sets under the selected relation.
+def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL,
+            strict: bool = False) -> bool:
+    """Compare two non-empty finite point sets under the selected relation,
+    its strict variant when ``strict`` is set.
 
     Checks the input, then runs the one inlined scan shared with the
     efficiency checkers (``_set_leq``); infinite coordinates are compared
@@ -171,31 +164,18 @@ def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> bool:
     if spec.family is SetRelFamily.LAMBDA_MIN:
         if len(spec.lam) not in dims:
             raise ValueError(f"weight vector has length {len(spec.lam)}, points have {dims.pop()}")
-    return _set_leq(A, B, spec, tol.tau)
+    return _set_leq(A, B, spec, strict, tol.tau)
 
 
-def parse_relation(text: str):
-    """Parse a CLI relation selector.
-
-    Vector relations: ``leqq``, ``leq``, ``lt``.  Set relations: ``u``,
-    ``u-strict``, ``l``, ``l-strict``, ``lmin:<csv>``, ``lmin-strict:<csv>``.
-    """
+def parse_relation(text: str) -> SetRelSpec:
+    """Parse a CLI set relation selector: ``u``, ``l`` or ``lmin:<csv>``."""
     t = text.strip()
-    if t in ("leqq", "leq", "lt"):
-        return VecRel(t)
     if t in ("u", "l"):
-        return SetRelSpec(SetRelFamily(t), strict=False)
-    if t in ("u-strict", "l-strict"):
-        return SetRelSpec(SetRelFamily(t.split("-")[0]), strict=True)
-    for prefix, strict in (("lmin-strict:", True), ("lmin:", False)):
-        if t.startswith(prefix):
-            body = t[len(prefix):]
-            try:
-                lam = tuple(float(c) for c in body.split(","))
-            except ValueError:
-                raise ValueError(f"bad weight list in relation {text!r}") from None
-            return SetRelSpec(SetRelFamily.LAMBDA_MIN, strict=strict, lam=lam)
-    raise ValueError(
-        f"unknown relation {text!r}; expected one of leqq, leq, lt, u[-strict], "
-        f"l[-strict], lmin[-strict]:<csv>"
-    )
+        return SetRelSpec(SetRelFamily(t))
+    if t.startswith("lmin:"):
+        try:
+            lam = tuple(float(c) for c in t[len("lmin:"):].split(","))
+        except ValueError:
+            raise ValueError(f"bad weight list in relation {text!r}") from None
+        return SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam)
+    raise ValueError(f"unknown relation {text!r}; expected one of u, l, lmin:<csv>")

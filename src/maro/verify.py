@@ -16,7 +16,6 @@ from .efficiency import (
     Kind,
     Strictness,
     Verdict,
-    derived_set_relation,
     maro_efficient,
     mro_efficient,
 )
@@ -136,14 +135,15 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{c:.17g}" for c in v) + ")"
 
 
-def single_scenario_efficient(inst: Instance, x: str, spec: SetRelSpec,
+def single_scenario_efficient(inst: Instance, x: str, spec: SetRelSpec, strict: bool,
                               tol: Tolerance = DEFAULT_TOL) -> bool:
     """Direct reimplementation of the one-scenario set-optimization notion:
-    no competitor front relates below the front of ``x``."""
+    no competitor front relates below the front of ``x`` under the strict or
+    non-strict variant of ``spec``."""
     (u,) = inst.scenarios
     mine = inner_efficient(inst, x, u, tol).points
     return not any(
-        set_cmp(inner_efficient(inst, xp, u, tol).points, mine, spec, tol)
+        set_cmp(inner_efficient(inst, xp, u, tol).points, mine, spec, tol, strict)
         for xp in inst.decisions if xp != x
     )
 
@@ -177,10 +177,10 @@ _IMPLICATIONS = (
 
 def _replay(inst: Instance, x: str, verdict: Verdict, spec: SetRelSpec,
             strictness: Strictness, tol: Tolerance) -> bool:
-    rel = derived_set_relation(spec, strictness)
     return all(
         set_cmp(inner_efficient(inst, xp, u, tol).points,
-                inner_efficient(inst, x, u, tol).points, rel, tol)
+                inner_efficient(inst, x, u, tol).points, spec, tol,
+                strictness is Strictness.WEAK)
         for u, xp in verdict.witness.scenario_map
     )
 
@@ -202,19 +202,19 @@ class _Context:
         self.specs = _family_specs(inst.n)
 
 
-# check id -> function(context, report) filling that instance's report, in
-# the order of ALL_CHECKS
+# check id -> (function(context, report) filling that instance's report,
+# the battery parameters it reads), in the order of ALL_CHECKS
 _CHECKS: dict = {}
 
 
-def _check(cid: str):
+def _check(cid: str, *params: str):
     def register(fn):
-        _CHECKS[cid] = fn
+        _CHECKS[cid] = fn, params
         return fn
     return register
 
 
-@_check("thm_ws_implies_ms")
+@_check("thm_ws_implies_ms", "lams")
 def _thm_ws_implies_ms(ctx: _Context, rep: CheckReport):
     """Strict weighted-sum efficiency forces strict multi-scenario efficiency
     under the matching weighted-minimum set relation.  The theorem is stated
@@ -234,7 +234,7 @@ def _thm_ws_implies_ms(ctx: _Context, rep: CheckReport):
                                f"{v.witness.xprime}")
 
 
-@_check("thm_eps_switch")
+@_check("thm_eps_switch", "gb")
 def _thm_eps_switch(ctx: _Context, rep: CheckReport):
     """A strict constraint-efficient decision stays strict when the bound
     slot it minimized is fixed to its guarantee and any other objective is
@@ -259,7 +259,7 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
                 )
 
 
-@_check("thm_eps_implies_ms_lower")
+@_check("thm_eps_implies_ms_lower", "gb")
 def _thm_eps_implies_ms_lower(ctx: _Context, rep: CheckReport):
     """Strict constraint efficiency forces strict multi-scenario efficiency
     under the lower set relation."""
@@ -275,12 +275,10 @@ def _thm_eps_implies_ms_lower(ctx: _Context, rep: CheckReport):
                            f"j={gb.j} but multi-scenario dominated by {v.witness.xprime}")
 
 
-@_check("lemma_eps_image_weakly_nondominated")
+@_check("lemma_eps_image_weakly_nondominated", "eps_list")
 def _eps_image_weakly_nondominated(ctx: _Context, rep: CheckReport):
     """Constraint images are weakly nondominated (feasible entries only)."""
     inst, tol = ctx.inst, ctx.tol
-    if not ctx.eps_list:
-        return
     for j in range(1, inst.n + 1):
         rep.cases += 1
         img = image_eps_grid(inst, tuple(GenBound(e, j) for e in ctx.eps_list), tol)
@@ -311,7 +309,7 @@ def _implication_chain(ctx: _Context, rep: CheckReport):
                                    f"family={spec.family.value}")
 
 
-@_check("remark_ws_bound")
+@_check("remark_ws_bound", "lams")
 def _ws_bound(ctx: _Context, rep: CheckReport):
     """Weighted-sum guarantees really bound every scenario."""
     inst, tol = ctx.inst, ctx.tol
@@ -322,7 +320,7 @@ def _ws_bound(ctx: _Context, rep: CheckReport):
                 rep.fail(inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g:.17g}")
 
 
-@_check("remark_eps_bound")
+@_check("remark_eps_bound", "gb")
 def _eps_bound(ctx: _Context, rep: CheckReport):
     """Finite constraint guarantees really bound every scenario."""
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
@@ -376,14 +374,14 @@ def _single_scenario_coherence(ctx: _Context, rep: CheckReport):
         for x in inst.decisions:
             rep.cases += 1
             for kind, s in _CHAIN:
-                direct = single_scenario_efficient(inst, x, derived_set_relation(spec, s), tol)
+                direct = single_scenario_efficient(inst, x, spec, s is Strictness.WEAK, tol)
                 got = maro_efficient(inst, x, kind, s, spec, tol).efficient
                 if got != direct:
                     rep.fail(inst, f"x={x} {kind.value}/{s.value} "
                                    f"family={spec.family.value}: {got} != {direct}")
 
 
-@_check("front_reduction_invariance")
+@_check("front_reduction_invariance", "lams", "gb")
 def _front_reduction_invariance(ctx: _Context, rep: CheckReport):
     """Replacing recourse images by their efficient fronts changes no value."""
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
@@ -420,7 +418,7 @@ def _unit_weight_reduces_to_pb(ctx: _Context, rep: CheckReport):
                                f"{value:.17g} != {pb[i]:.17g}")
 
 
-@_check("eps_value_monotone")
+@_check("eps_value_monotone", "gb")
 def _eps_value_monotone(ctx: _Context, rep: CheckReport):
     """Loosening the caps never worsens the constrained value."""
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
@@ -487,12 +485,18 @@ def check_instance(inst: Instance, check_ids: list[str] | None, lams: list[Weigh
                    tol: Tolerance = DEFAULT_TOL) -> dict[str, CheckReport]:
     """Run the named checks (every check when none is named) on one instance
     with the given weight vectors, generating bound and bound list; one
-    report per check id, in registry order."""
+    report per check id, in registry order.  A selected check whose
+    parameter is missing or empty is refused before any check runs."""
     ctx = _Context(inst, tol, lams, gb, eps_list)
+    selected = _selected(check_ids)
+    for cid in selected:
+        for param in _CHECKS[cid][1]:
+            if not getattr(ctx, param):
+                raise ValueError(f"check {cid} needs the parameter {param}")
     reports = {}
-    for cid in _selected(check_ids):
+    for cid in selected:
         reports[cid] = rep = CheckReport(cid, instances=1)
-        _CHECKS[cid](ctx, rep)
+        _CHECKS[cid][0](ctx, rep)
     return reports
 
 

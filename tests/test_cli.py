@@ -17,7 +17,7 @@ from hypothesis import given, settings
 import maro
 from maro import Kind, dump_instance, fixture
 from maro.cli import build_parser, main
-from maro.images import render_svg
+from maro.images import image_pb, render_svg
 
 from conftest import record_stores
 
@@ -183,9 +183,12 @@ def test_efficiency_weight_length_must_match(capsys, lam):
 
 
 def test_efficiency_vector_relation_requires_mro(capsys):
-    code, _, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
-                       "--kind", "flimsy", "--rel", "leqq")
-    assert code == 2 and "--mro" in err
+    # --rel selects a set relation only; a vector relation is reached through
+    # --mro and a strictness flag
+    code, out, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
+                         "--kind", "flimsy", "--rel", "leqq")
+    assert (code, out) == (2, "")
+    assert err == "maro: unknown relation 'leqq'; expected one of u, l, lmin:<csv>\n"
 
 
 def test_efficiency_mro_point_based(capsys):
@@ -204,31 +207,34 @@ def test_efficiency_default_relation_is_lower_strict(capsys):
     assert run(capsys, *base, "--strict", "--rel", "l") == (0, out, "")
 
 
-@pytest.mark.parametrize("flags, message", [
-    (("--strict", "--rel", "lmin:1,0"), "--rel lmin:1,0: set relations apply to three-stage"),
-    (("--rel", "l"), "--rel l: set relations apply to three-stage"),
-    (("--weak", "--rel", "leqq"), "--rel leqq selects strict strictness, which conflicts "
-                                  "with --weak"),
-    (("--strict", "--rel", "lt"), "--rel lt selects weak strictness, which conflicts "
-                                  "with --strict"),
-    (("--plain", "--rel", "leqq"), "--rel leqq selects strict strictness"),
+@pytest.mark.parametrize("flags", [
+    ("--strict", "--rel", "lmin:1,0"),
+    ("--rel", "l"),
+    ("--weak", "--rel", "leqq"),
+    ("--strict", "--rel", "lt"),
+    ("--plain", "--rel", "leqq"),
+    ("--rel", "banana"),
 ])
-def test_efficiency_mro_rejects_conflicting_relation(capsys, flags, message):
+def test_efficiency_mro_rejects_conflicting_relation(capsys, flags):
+    # the strictness flag selects the two-stage vector relation; any --rel
+    # conflicts with it
     code, out, err = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
                          "--kind", "flimsy", "--mro", *flags)
-    assert code == 2 and out == ""
-    assert err.startswith(f"maro: {message}")
+    rel = flags[flags.index("--rel") + 1]
+    assert (code, out) == (2, "")
+    assert err == (f"maro: --rel {rel}: --mro checks take their vector relation "
+                   f"from --strict, --plain or --weak\n")
 
 
 @pytest.mark.parametrize("rel", ["l-strict", "u-strict", "lmin-strict:0.5,0.5"])
 def test_efficiency_rejects_strict_suffix_on_three_stage_relation(capsys, rel):
-    # the notion fixes the deciding relation's strictness; a suffix that
-    # would be ignored is refused instead
+    # the notion fixes the deciding relation's strictness, so no selector
+    # names a variant
     for flags in ((), ("--weak",), ("--kind", "highly")):
         code, out, err = run(capsys, "efficiency", "--fixture", "FIG2R", "--x", "x1",
                              "--kind", "flimsy", "--rel", rel, *flags)
         assert (code, out) == (2, "")
-        assert err.startswith(f"maro: --rel {rel}: ") and "strictness" in err
+        assert err == f"maro: unknown relation {rel!r}; expected one of u, l, lmin:<csv>\n"
     with pytest.raises(SystemExit):
         main(["efficiency", "--help"])
     assert "[-strict]" not in capsys.readouterr().out
@@ -237,9 +243,9 @@ def test_efficiency_rejects_strict_suffix_on_three_stage_relation(capsys, rel):
 @pytest.mark.parametrize("flags, strictness", [
     ((), "strict"),
     (("--weak",), "weak"),
-    (("--rel", "leq"), "plain"),
-    (("--weak", "--rel", "lt"), "weak"),
-    (("--plain", "--rel", "leq"), "plain"),
+    (("--plain",), "plain"),
+    (("--weak", "--kind", "highly"), "weak"),
+    (("--plain", "--kind", "multi-scenario"), "plain"),
 ])
 def test_efficiency_mro_reports_agreeing_strictness(capsys, flags, strictness):
     code, out, _ = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
@@ -471,6 +477,32 @@ def test_plot_from_image_output(tmp_path, capsys):
         code, _, err = run(capsys, "plot", "--in", str(src), "--out", str(dst))
         assert (code, err) == (0, f"wrote {dst}\n")
         assert dst.read_text() == render_svg([("points", points)])
+
+
+@pytest.mark.parametrize("flags", [
+    ("--what", "ws"), ("--lambda", "0.5,0.5"), ("--eps", "_,7"), ("--j", "1"),
+    ("--instance", "inst.json"), ("--fixture", "NOPE"),
+])
+def test_plot_in_refuses_the_instance_options(tmp_path, capsys, flags):
+    src = tmp_path / "points.json"
+    src.write_text("[[1, 2], [3, 1]]")
+    assert run(capsys, "plot", "--in", str(src), *flags) == (
+        2, "", f"maro: {flags[0]} does not apply to plot --in\n")
+
+
+def test_plot_labels_the_dataset(tmp_path, capsys):
+    code, out, _ = run(capsys, "plot", *_FIG2L, "--what", "pb", "--label", "mine")
+    assert code == 0
+    assert out == render_svg([("mine", [tuple(p) for p in image_pb(fixture("FIG2L"))])])
+    src = tmp_path / "points.json"
+    src.write_text("[[1, 2], [3, 1]]")
+    code, out, _ = run(capsys, "plot", "--in", str(src), "--label", "mine")
+    assert code == 0 and out == render_svg([("mine", [(1.0, 2.0), (3.0, 1.0)])])
+
+
+def test_plot_to_an_unwritable_path_is_a_usage_error(capsys):
+    assert run(capsys, "plot", *_FIG2L, "--what", "pb", "--out", "/nonexistent/dir/x.svg") == (
+        2, "", f"maro: cannot write /nonexistent/dir/x.svg: {os.strerror(errno.ENOENT)}\n")
 
 
 def test_plot_refuses_non_finite_points(tmp_path, capsys):

@@ -20,7 +20,6 @@ from maro import (
     smaro_set,
 )
 from maro import efficiency
-from maro.efficiency import derived_set_relation
 
 from conftest import instances, near_tie_instances, singleton_instances
 from oracles import brute_maro_verdict, brute_mro_verdict
@@ -145,10 +144,10 @@ def test_negative_witnesses_replay(inst):
             v = maro_efficient(inst, x, kind, s, UPPER)
             if v.efficient:
                 continue
-            rel = derived_set_relation(UPPER, s)
             for u, xp in v.witness.scenario_map:
                 assert set_cmp(inner_efficient(inst, xp, u).points,
-                               inner_efficient(inst, x, u).points, rel)
+                               inner_efficient(inst, x, u).points, UPPER,
+                               strict=s is Strictness.WEAK)
             if kind is Kind.FLIMSY:
                 assert len(v.witness.scenario_map) == len(inst.scenarios)
 
@@ -266,7 +265,7 @@ def test_scenario_order_and_copies_change_no_verdict(inst, data):
                     (u, xp), = p.witness.scenario_map
                     assert set_cmp(inner_efficient(inst, xp, u, EXACT).points,
                                    inner_efficient(inst, x, u, EXACT).points,
-                                   derived_set_relation(spec, s), EXACT)
+                                   spec, EXACT, s is Strictness.WEAK)
                 else:
                     assert set(p.witness.scenario_map) == pairs
                     assert set(d.witness.scenario_map) == pairs | {(extra, dict(pairs)[copied])}

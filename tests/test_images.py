@@ -1,6 +1,7 @@
 """Objective-space images, grids, the gap surrogate, and SVG output."""
 
 import math
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given
@@ -155,3 +156,10 @@ def test_render_svg():
         render_svg([("bad", [(1.0, 2.0, 3.0)])])
     with pytest.raises(ValueError, match="nothing to plot"):
         render_svg([("empty", [])])
+
+
+def test_render_svg_escapes_labels():
+    svg = render_svg([("R&D <x>", [(1.0, 2.0)]), ("a > b", [(3.0, 1.0)])])
+    root = ElementTree.fromstring(svg)
+    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[-2:] == ["R&D <x>", "a > b"]

@@ -1,6 +1,8 @@
 """Vector and set order relations, weights, and the relation parser."""
 
 import math
+from dataclasses import fields
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -21,13 +23,11 @@ from conftest import int_vecs, near_tie_sets, point_sets, weights
 from oracles import _tol_set_leq, brute_set_leq, tol_vec_cmp
 
 U = SetRelSpec(SetRelFamily.UPPER)
-US = SetRelSpec(SetRelFamily.UPPER, strict=True)
 L = SetRelSpec(SetRelFamily.LOWER)
-LS = SetRelSpec(SetRelFamily.LOWER, strict=True)
 
 
-def lmin(lam, strict=False):
-    return SetRelSpec(SetRelFamily.LAMBDA_MIN, strict=strict, lam=lam)
+def lmin(lam):
+    return SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam)
 
 
 def test_vec_cmp_reflexivity_and_irreflexivity():
@@ -53,7 +53,7 @@ def test_set_cmp_lower_example():
 
 def test_set_cmp_singleton_equality():
     assert set_cmp({(1, 1)}, {(1, 1)}, U)
-    assert not set_cmp({(1, 1)}, {(1, 1)}, US)
+    assert not set_cmp({(1, 1)}, {(1, 1)}, U, strict=True)
 
 
 def test_set_cmp_lambda_min_example():
@@ -91,9 +91,8 @@ def test_weight_validation():
 def test_non_finite_weights_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         Weight(bad)
-    for strict in (False, True):
-        with pytest.raises(ValueError, match="finite"):
-            lmin(bad, strict)
+    with pytest.raises(ValueError, match="finite"):
+        lmin(bad)
 
 
 @pytest.mark.parametrize("spec", [U, L, lmin((0.3, 0.7))])
@@ -104,18 +103,20 @@ def test_nonstrict_set_relations_are_preorders(spec, A, B, C):
         assert set_cmp(A, C, spec)
 
 
-@pytest.mark.parametrize("nonstrict,strict", [(U, US), (L, LS),
-                                              (lmin((0.4, 0.6)), lmin((0.4, 0.6), True))])
+@pytest.mark.parametrize("nonstrict,strict", [
+    (partial(set_cmp, spec=spec), partial(set_cmp, spec=spec, strict=True))
+    for spec in (U, L, lmin((0.4, 0.6)))])
 @given(A=point_sets(), B=point_sets())
 def test_strict_implies_nonstrict(nonstrict, strict, A, B):
-    if set_cmp(A, B, strict):
-        assert set_cmp(A, B, nonstrict)
+    if strict(A, B):
+        assert nonstrict(A, B)
 
 
 @given(a=int_vecs(), b=int_vecs())
 def test_singleton_coherence_upper_lower(a, b):
-    for spec, rel in ((U, VecRel.LEQQ), (US, VecRel.LT), (L, VecRel.LEQQ), (LS, VecRel.LT)):
-        assert set_cmp({a}, {b}, spec) == vec_cmp(a, b, rel)
+    for spec in (U, L):
+        assert set_cmp({a}, {b}, spec) == vec_cmp(a, b, VecRel.LEQQ)
+        assert set_cmp({a}, {b}, spec, strict=True) == vec_cmp(a, b, VecRel.LT)
 
 
 @given(a=int_vecs(), b=int_vecs(), lam=weights())
@@ -124,7 +125,7 @@ def test_singleton_vector_relation_implies_lambda_min(a, b, lam):
     if vec_cmp(a, b, VecRel.LEQQ):
         assert set_cmp({a}, {b}, lmin(lam))
     if vec_cmp(a, b, VecRel.LT):
-        assert set_cmp({a}, {b}, lmin(lam, True))
+        assert set_cmp({a}, {b}, lmin(lam), strict=True)
 
 
 @pytest.mark.parametrize("family,strict", [("u", False), ("u", True),
@@ -133,11 +134,8 @@ def test_singleton_vector_relation_implies_lambda_min(a, b, lam):
 @given(A=point_sets(), B=point_sets())
 def test_set_cmp_matches_bruteforce_at_zero_tolerance(family, strict, A, B):
     lam = (0.25, 0.75)
-    if family == "lmin":
-        spec = lmin(lam, strict)
-    else:
-        spec = SetRelSpec(SetRelFamily(family), strict=strict)
-    got = set_cmp(A, B, spec, Tolerance(0.0))
+    spec = lmin(lam) if family == "lmin" else SetRelSpec(SetRelFamily(family))
+    got = set_cmp(A, B, spec, Tolerance(0.0), strict)
     assert got == brute_set_leq(A, B, family, strict, lam)
 
 
@@ -165,9 +163,8 @@ def test_relations_match_tolerance_oracle(tau, n, data):
     tol = Tolerance(tau)
     for strict in (False, True):
         for family in ("u", "l", "lmin"):
-            spec = (lmin(lam, strict) if family == "lmin"
-                    else SetRelSpec(SetRelFamily(family), strict=strict))
-            assert set_cmp(A, B, spec, tol) == _tol_set_leq(A, B, family, strict, lam, tau)
+            spec = lmin(lam) if family == "lmin" else SetRelSpec(SetRelFamily(family))
+            assert set_cmp(A, B, spec, tol, strict) == _tol_set_leq(A, B, family, strict, lam, tau)
     for a in A:
         for b in B:
             for rel in VecRel:
@@ -180,29 +177,29 @@ def test_relations_exact_on_infinities(tau):
     inf = math.inf
     # equal infinite coordinates are <= but not <
     assert set_cmp({(inf, 1.0)}, {(inf, 1.0)}, U, tol)
-    assert not set_cmp({(inf, 1.0)}, {(inf, 1.0)}, US, tol)
+    assert not set_cmp({(inf, 1.0)}, {(inf, 1.0)}, U, tol, strict=True)
     assert vec_cmp((-inf, 0.0), (-inf, 0.0), VecRel.LEQQ, tol)
     assert not vec_cmp((-inf, 0.0), (-inf, 0.0), VecRel.LEQ, tol)
     assert not vec_cmp((-inf, 0.0), (-inf, 0.0), VecRel.LT, tol)
     assert set_cmp({(-inf, 0.0)}, {(-inf, 0.0)}, L, tol)
-    assert not set_cmp({(-inf, 0.0)}, {(-inf, 0.0)}, LS, tol)
+    assert not set_cmp({(-inf, 0.0)}, {(-inf, 0.0)}, L, tol, strict=True)
     assert vec_cmp((-inf, 0.0), (1.0, 1.0), VecRel.LT, tol)
     assert not vec_cmp((1.0, inf), (2.0, inf), VecRel.LT, tol)
     # both weighted minima are inf
     A, B = {(inf, 1.0), (2.0, inf)}, {(inf, 0.0)}
     assert set_cmp(A, B, lmin((0.5, 0.5)), tol)
-    assert not set_cmp(A, B, lmin((0.5, 0.5), True), tol)
+    assert not set_cmp(A, B, lmin((0.5, 0.5)), tol, strict=True)
 
 
 def test_parse_relation():
-    assert parse_relation("leqq") is VecRel.LEQQ
-    assert parse_relation("lt") is VecRel.LT
+    # a selector names a set relation family; the notion picks the variant
+    assert [f.name for f in fields(SetRelSpec)] == ["family", "lam"]
     assert parse_relation("u") == U
-    assert parse_relation("l-strict") == LS
+    assert parse_relation("l") == L
     spec = parse_relation("lmin:0.5,0.5")
     assert spec.family is SetRelFamily.LAMBDA_MIN and spec.lam == (0.5, 0.5)
-    assert parse_relation("lmin-strict:1,0").strict
-    with pytest.raises(ValueError, match="unknown relation"):
-        parse_relation("banana")
+    for text in ("banana", "leqq", "lt", "l-strict", "lmin-strict:1,0"):
+        with pytest.raises(ValueError, match="unknown relation"):
+            parse_relation(text)
     with pytest.raises(ValueError, match="bad weight list"):
         parse_relation("lmin:a,b")

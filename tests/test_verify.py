@@ -124,6 +124,38 @@ def test_lemma_battery_on_fixtures():
             assert rep.passed, (name, rep.check_id, rep.violations)
 
 
+# check id -> the battery parameters it reads
+CHECK_PARAMS = {
+    "thm_ws_implies_ms": {"lams"},
+    "thm_eps_switch": {"gb"},
+    "thm_eps_implies_ms_lower": {"gb"},
+    "lemma_eps_image_weakly_nondominated": {"eps_list"},
+    "remark_ws_bound": {"lams"},
+    "remark_eps_bound": {"gb"},
+    "front_reduction_invariance": {"lams", "gb"},
+    "eps_value_monotone": {"gb"},
+}
+
+
+def test_check_instance_refuses_a_missing_parameter():
+    # a check never runs without a parameter it reads: it would raise deep
+    # inside, or pass with no cases
+    inst = fixture("FIG2L")
+    full = {"lams": [HALF], "gb": GenBound((8.0, 8.0), 1), "eps_list": [(0.0, 5.0)]}
+    for cid in ALL_CHECKS:
+        for param, missing in (("lams", None), ("lams", []), ("gb", None),
+                               ("eps_list", None), ("eps_list", [])):
+            params = {**full, param: missing}
+            if param in CHECK_PARAMS.get(cid, ()):
+                with pytest.raises(ValueError) as err:
+                    check_instance(inst, [cid], **params)
+                assert str(err.value) == f"check {cid} needs the parameter {param}"
+            else:
+                assert check_instance(inst, [cid], **params)[cid].passed, (cid, param)
+    with pytest.raises(ValueError, match="eps_value_monotone needs the parameter gb"):
+        check_instance(inst, ["remark_pb_sandwich", "eps_value_monotone"])
+
+
 def test_fig5_point_based_domination_facts():
     # the figure's stated facts about the point-based values
     from maro import f_pb, inner_efficient, vec_cmp, VecRel
@@ -284,6 +316,23 @@ def _plant_multi_scenario_reads_first_scenario(monkeypatch):
     monkeypatch.setattr("maro.efficiency._decide", first_only)
 
 
+def _plant_set_relation_ignores_strictness(monkeypatch):
+    import maro.efficiency
+
+    real = maro.efficiency._set_leq
+    monkeypatch.setattr("maro.efficiency._set_leq",
+                        lambda A, B, spec, strict, tau: real(A, B, spec, False, tau))
+
+
+def _plant_strict_selection_keeps_every_minimizer(monkeypatch):
+    import maro.scalarize
+
+    real = maro.scalarize._selection
+    monkeypatch.setattr("maro.scalarize._selection",
+                        lambda inst, values, strictness, tol:
+                        real(inst, values, Strictness.PLAIN, tol))
+
+
 # plant -> {check id: (violation count, first violation detail)} of
 # run_battery(42, 60) restricted to those checks
 PLANTED_DEFECTS = [
@@ -303,6 +352,20 @@ PLANTED_DEFECTS = [
         "thm_ws_implies_ms": (126, "x=x4 strictly ws-efficient for lam=(0.75, 0.25) (value 4) "
                                    "but multi-scenario dominated by x3"),
         "thm_eps_implies_ms_lower": (7, "x=x3 strictly eps-efficient for eps=(20, 14) j=1 "
+                                        "but multi-scenario dominated by x2"),
+    }),
+    (_plant_set_relation_ignores_strictness, {
+        "lemma_singleton_recourse_coherence": (4, "x=x1 highly/weak: two-stage True vs "
+                                                  "three-stage[u] False"),
+        "remark_single_scenario_coherence": (14, "x=x1 flimsy/weak family=u: False != True"),
+        "witness_replay": (160, "witness (x4) for x=x1 kind=flimsy does not replay"),
+    }),
+    (_plant_strict_selection_keeps_every_minimizer, {
+        "thm_ws_implies_ms": (14, "x=x2 strictly ws-efficient for lam=(0.5, 0.5) (value 4) "
+                                  "but multi-scenario dominated by x1"),
+        "thm_eps_switch": (14, "x=x1 strict for eps=(17, 13, 10) j=3 (guarantee 4) but not "
+                               "strict for eps'=(17, 13, 4) j=2; got ('x5',)"),
+        "thm_eps_implies_ms_lower": (1, "x=x1 strictly eps-efficient for eps=(13, 12) j=1 "
                                         "but multi-scenario dominated by x2"),
     }),
 ]
