@@ -147,8 +147,10 @@ def _cmd_efficiency(args) -> int:
         verdict = mro_efficient(inst, args.x, kind, strictness, tol)
         relation = strictness.value
     else:
-        relation = "l" if args.rel is None else args.rel
-        spec = parse_relation(relation)
+        spec = parse_relation("l" if args.rel is None else args.rel)
+        relation = spec.family.value
+        if spec.lam is not None:
+            relation += ":" + ",".join(map(repr, spec.lam))
         if kind is Kind.POINT_BASED:
             raise UsageError("point-based is a two-stage notion; add --mro "
                              "or use solve-pb")

@@ -61,16 +61,27 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     tests accept through their ``or``.  Points of length zero are all
     duplicates of the first.  The unpruned pairwise filter survives only as
     the test oracle ``tol_front``.
+
+    This function sorts and checks its input, then hands it to the core
+    :func:`_sorted_front`, which :func:`inner_efficient` calls directly.
     """
     pts = sorted(tuple(p) for p in points)
     if not pts:
         raise ValueError("nondominated() requires a non-empty point set")
     n = _common_length(pts)
+    finite = n == 2 and all(map(math.isfinite, chain.from_iterable(pts)))
+    return _sorted_front(pts, n, finite, orientation, tol.tau)
+
+
+def _sorted_front(pts: list[Vec], n: int, finite: bool, orientation: Orientation,
+                  tau: float) -> FrontSet:
+    """The front of sorted, non-empty points of common length ``n``;
+    ``finite`` says whether every coordinate is finite and is read only
+    when ``n == 2``."""
     if n == 0:
         return FrontSet(tuple(pts[:1]), orientation)
-    tau = tol.tau
     is_min = orientation is Orientation.MIN
-    if n == 2 and all(map(math.isfinite, chain.from_iterable(pts))):
+    if n == 2 and finite:
         if tau == 0.0 and is_min:
             return _sweep_min_front2(pts)
         return _front2(pts, orientation, tau)
@@ -185,12 +196,16 @@ def _sweep_min_front2(pts: list[Vec]) -> FrontSet:
 
 def inner_efficient(inst: Instance, x: str, u: str,
                     tol: Tolerance = DEFAULT_TOL) -> FrontSet:
-    """Efficient front of the recourse image at one (decision, scenario) pair."""
+    """Efficient front of the recourse image at one (decision, scenario) pair.
+
+    :class:`Instance` has already refused empty sets, wrong lengths and
+    non-finite coordinates, so the points go straight to the front core
+    after the sort, without the input scans of :func:`nondominated`."""
     key = ("front", x, u, tol.tau)
     hit = inst._cache.get(key)
     if hit is None:
-        hit = nondominated(inst.points(x, u), Orientation.MIN, tol)
-        inst._cache[key] = hit
+        pts = sorted(map(tuple, inst.points(x, u)))
+        hit = inst._cache[key] = _sorted_front(pts, inst.n, True, Orientation.MIN, tol.tau)
     return hit
 
 

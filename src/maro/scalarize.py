@@ -20,11 +20,16 @@ non-negative and float ``*``, ``+`` and ``-`` round monotonically, so
 ``p_k <= q_k``: each minimum is the same float and each test the same
 boolean as over all points.  The front is taken at tau = 0, never at the
 caller's tolerance, because a tau-front may drop a point better by up to
-tau.  Fronts, the point-based value and the per-scenario minima of the
-other two concepts are memoized on the instance, keyed by every argument
-they depend on, so each is computed once whichever caller asks first; a
-failed call stores nothing and raises again.  The values, the bound checks,
-the images and the selections all read these minima.
+tau.  Each decision's fronts form one table, ``_fronts``: a tuple with one
+front per scenario in document order, which the per-scenario minima and
+the point-based value read in plain loops.  The constraint minima test
+their caps with a precomputed list of (index, cap) pairs and the inlined
+rule of ``Tolerance.leq``, the same for every number of objectives.
+Fronts, the point-based value and the per-scenario minima of the other two
+concepts are memoized on the instance, keyed by every argument they depend
+on, so each is computed once whichever caller asks first; a failed call
+stores nothing and raises again.  The values, the bound checks, the images
+and the selections all read these minima.
 """
 
 from __future__ import annotations
@@ -40,10 +45,16 @@ from .relations import VecRel, Weight, vec_cmp, weighted_min
 _EXACT = Tolerance(0.0)
 
 
-def _front(inst: Instance, x: str, u: str) -> tuple[Vec, ...]:
-    """Exact efficient front of the recourse image at ``(x, u)``: every
-    minimum of a monotone scalarization over the image is attained on it."""
-    return inner_efficient(inst, x, u, _EXACT).points
+def _fronts(inst: Instance, x: str) -> tuple[tuple[Vec, ...], ...]:
+    """Exact efficient fronts of the recourse images of ``x``, one per
+    scenario in document order: every minimum of a monotone scalarization
+    over an image is attained on its front."""
+    key = ("fronts", x)
+    hit = inst._cache.get(key)
+    if hit is None:
+        hit = inst._cache[key] = tuple(inner_efficient(inst, x, u, _EXACT).points
+                                       for u in inst.scenarios)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,8 @@ class GenBound:
 
     def __post_init__(self):
         object.__setattr__(self, "eps", tuple(float(c) for c in self.eps))
-        if not isinstance(self.j, int) or self.j < 1 or self.j > len(self.eps):
+        if (isinstance(self.j, bool) or not isinstance(self.j, int)
+                or self.j < 1 or self.j > len(self.eps)):
             raise ValueError(f"objective index must lie in 1..{len(self.eps)}, got {self.j}")
         for c in self.eps:
             if math.isnan(c):
@@ -93,8 +105,8 @@ def _ws_minima(inst: Instance, x: str, lam: Weight) -> tuple[float, ...]:
     if hit is None:
         if len(lam.values) != inst.n:
             raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
-        hit = inst._cache[key] = tuple(weighted_min(_front(inst, x, u), lam.values)
-                                       for u in inst.scenarios)
+        hit = inst._cache[key] = tuple(weighted_min(front, lam.values)
+                                       for front in _fronts(inst, x))
     return hit
 
 
@@ -107,11 +119,18 @@ def _eps_minima(inst: Instance, x: str, gb: GenBound, tol: Tolerance) -> tuple[f
         if len(gb.eps) != inst.n:
             raise InstanceError(f"bound length {len(gb.eps)} != objective count {inst.n}")
         k = gb.j - 1
+        caps = [(i, e) for i, e in enumerate(gb.eps) if i != k]
+        tau = tol.tau
         per_scenario = []
-        for u in inst.scenarios:
+        for front in _fronts(inst, x):
             best = INF
-            for p in _front(inst, x, u):
-                if all(tol.leq(p[i], gb.eps[i]) for i in range(inst.n) if i != k):
+            for p in front:
+                for i, e in caps:
+                    c = p[i]
+                    # Tolerance.leq(c, e), inlined
+                    if not (c - e <= tau or c <= e):
+                        break
+                else:
                     if p[k] < best:
                         best = p[k]
             per_scenario.append(best)
@@ -136,10 +155,8 @@ def f_pb(inst: Instance, x: str) -> Vec:
     key = ("pb", x)
     hit = inst._cache.get(key)
     if hit is None:
-        hit = inst._cache[key] = tuple(
-            max(min(p[i] for p in _front(inst, x, u)) for u in inst.scenarios)
-            for i in range(inst.n)
-        )
+        ideals = [tuple(map(min, zip(*front))) for front in _fronts(inst, x)]
+        hit = inst._cache[key] = tuple(map(max, zip(*ideals)))
     return hit
 
 

@@ -182,6 +182,24 @@ def test_efficiency_weight_length_must_match(capsys, lam):
     assert err.startswith("maro: weight vector has length ") and "points have 2" in err
 
 
+@pytest.mark.parametrize("spellings, relation", [
+    (("l", " l "), "l"),
+    (("u", "u\n"), "u"),
+    (("lmin:0.5,0.5", " lmin:.5,5e-1"), "lmin:0.5,0.5"),
+    (("lmin:1,1.0", " lmin:1.0,1"), "lmin:1.0,1.0"),
+])
+def test_efficiency_reports_the_parsed_relation(capsys, spellings, relation):
+    # the document names the relation that decided, not the text of --rel
+    outs = []
+    for rel in spellings:
+        code, out, _ = run(capsys, "efficiency", "--fixture", "FIG2L", "--x", "x1",
+                           "--kind", "flimsy", "--rel", rel)
+        assert code == 0
+        outs.append(out)
+    assert json.loads(outs[0])["relation"] == relation
+    assert outs == outs[:1] * len(spellings)
+
+
 def test_efficiency_vector_relation_requires_mro(capsys):
     # --rel selects a set relation only; a vector relation is reached through
     # --mro and a strictness flag

@@ -8,11 +8,13 @@ from hypothesis import given
 
 from maro import (
     GenBound,
+    GenConfig,
     INF,
     VecRel,
     Weight,
     WeightGrid,
     fixture,
+    generate,
     image_eps,
     image_eps_grid,
     image_pb,
@@ -163,3 +165,26 @@ def test_render_svg_escapes_labels():
     root = ElementTree.fromstring(svg)
     labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
     assert labels[-2:] == ["R&D <x>", "a > b"]
+
+
+def test_images_build_each_front_once(monkeypatch):
+    # the scalar concepts read one table of fronts per decision, so the
+    # three images together compute each (decision, scenario) front once
+    import maro.scalarize
+
+    calls = []
+    real = maro.scalarize.inner_efficient
+
+    def counting(inst, x, u, tol):
+        calls.append((x, u))
+        return real(inst, x, u, tol)
+
+    monkeypatch.setattr("maro.scalarize.inner_efficient", counting)
+    inst = generate(GenConfig(seed=5, n=2, nx=5, nu=3, ny=8))
+    for w in WeightGrid(2, 10).weights:
+        image_ws(inst, w)
+    for eps, j in (((6.0, 9.0), 1), ((12.0, 4.0), 1), ((9.0, 7.0), 2), ((3.0, 14.0), 2)):
+        image_eps(inst, GenBound(eps, j))
+    image_pb(inst)
+    assert len(calls) == len(inst.decisions) * len(inst.scenarios)
+    assert sorted(calls) == sorted((x, u) for x in inst.decisions for u in inst.scenarios)

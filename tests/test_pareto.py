@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from maro import (
+    Instance,
     InstanceError,
     Orientation,
     Tolerance,
@@ -17,7 +18,7 @@ from maro import (
 )
 from maro.relations import dot
 
-from conftest import near_tie_sets, point_sets, weights
+from conftest import instances, near_tie_instances, near_tie_sets, point_sets, weights
 from oracles import brute_max_front, brute_min_front, tol_front
 
 INF = math.inf
@@ -58,6 +59,26 @@ def test_inner_efficient_examples():
     assert pts(inner_efficient(fixture("FIG5"), "x3", "u1")) == {(7, 2), (8, 1)}
     with pytest.raises(InstanceError, match="unknown"):
         inner_efficient(fig4, "x9", "u1")
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-9])
+@given(data=st.data())
+def test_inner_efficient_equals_the_pairwise_front(tau, data):
+    # inner_efficient skips nondominated's input scans; the front must be
+    # the oracle's, duplicate representatives and order included
+    tol = Tolerance(tau)
+    for inst in (data.draw(instances), data.draw(near_tie_instances(tau))):
+        for x in inst.decisions:
+            for u in inst.scenarios:
+                assert (repr(inner_efficient(inst, x, u, tol).points)
+                        == repr(tuple(tol_front(inst.points(x, u), "min", tau))))
+
+
+def test_inner_efficient_returns_tuples_for_list_points():
+    inst = Instance("lists", 2, ("x",), ("u",), {("x", "u"): [[3, 1], [2, 3], [1, 3], [2, 2]]})
+    for tau in (0.0, 1e-9):
+        assert repr(inner_efficient(inst, "x", "u", Tolerance(tau)).points) == \
+            "((1, 3), (2, 2), (3, 1))"
 
 
 def test_ideal_examples():

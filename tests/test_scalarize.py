@@ -162,6 +162,10 @@ def test_genbound_validation():
         GenBound((1, 2), 0)
     with pytest.raises(ValueError, match="NaN"):
         GenBound((math.nan, 2), 1)
+    # bool is an int subclass; True would otherwise pass as index 1
+    for j in (True, False):
+        with pytest.raises(ValueError, match=f"got {j}$"):
+            GenBound((0.0, 5.0), j)
     with pytest.raises(ValueError, match="strict/plain"):
         ws_efficient_set(fixture("FIG2L"), HALF, Strictness.WEAK)
 

@@ -3,6 +3,8 @@
 import pytest
 
 from maro import (
+    INF,
+    FrontSet,
     GenBound,
     GenConfig,
     Kind,
@@ -28,6 +30,7 @@ from maro import (
 from maro.verify import ALL_CHECKS
 
 from conftest import record_stores
+from oracles import _tol_leq, _tol_set_leq, dot, tol_front
 
 HALF = Weight((0.5, 0.5))
 
@@ -418,10 +421,62 @@ def test_compare_computes_each_selection_value_once(monkeypatch):
     def no_front(*args):
         raise AssertionError("a bound check rescanned a recourse front")
 
-    monkeypatch.setattr("maro.scalarize._front", no_front)
+    monkeypatch.setattr("maro.scalarize._fronts", no_front)
     for x in inst.decisions:
         assert check_ws_bound(inst, x, HALF, table["weighted_sum"]["guarantee"].get(x, 1e9))
         check_eps_bound(inst, x, gb, 5.0)
     values = [key[:2] for key in stored if key[0] in ("ws", "eps", "pb")]
     assert sorted(values) == sorted((name, x) for name in ("ws", "eps", "pb")
                                     for x in inst.decisions)
+
+
+def _ref_ws_minima(inst, x, lam):
+    """Least weighted sum over all recourse points, per scenario."""
+    return tuple(min(dot(lam.values, p) for p in inst.points(x, u)) for u in inst.scenarios)
+
+
+def _ref_eps_minima(inst, x, gb, tol):
+    """Least objective j over all recourse points meeting every other cap,
+    per scenario; +inf where none does."""
+    k = gb.j - 1
+    out = []
+    for u in inst.scenarios:
+        best = INF
+        for p in inst.points(x, u):
+            if all(_tol_leq(p[i], gb.eps[i], tol.tau) for i in range(inst.n) if i != k):
+                best = min(best, p[k])
+        out.append(best)
+    return tuple(out)
+
+
+def _ref_nondominated(points, orientation, tol):
+    return FrontSet(tuple(tol_front(points, orientation.value, tol.tau)), orientation)
+
+
+def _swap_in_references(monkeypatch):
+    """Replace every fast kernel the battery reaches with its reference."""
+    for module in ("pareto", "efficiency", "verify"):
+        monkeypatch.setattr(f"maro.{module}.nondominated", _ref_nondominated)
+    monkeypatch.setattr(
+        "maro.pareto._sorted_front",
+        lambda pts, n, finite, orientation, tau:
+        _ref_nondominated(pts, orientation, Tolerance(tau)))
+    monkeypatch.setattr(
+        "maro.efficiency._set_leq",
+        lambda A, B, spec, strict, tau:
+        _tol_set_leq(A, B, spec.family.value, strict, spec.lam, tau))
+    for module in ("scalarize", "images"):
+        monkeypatch.setattr(f"maro.{module}._ws_minima", _ref_ws_minima)
+    monkeypatch.setattr("maro.scalarize._eps_minima", _ref_eps_minima)
+    monkeypatch.setattr("maro.scalarize._fronts",
+                        lambda inst, x: tuple(inst.points(x, u) for u in inst.scenarios))
+
+
+@pytest.mark.parametrize("tau,jitter", [(1e-9, 0.0), (1e-9, 0.25), (0.0, 0.0), (0.0, 0.25)])
+def test_battery_report_equals_the_reference_kernels(monkeypatch, tau, jitter):
+    # the whole battery on the fast kernels and on their references gives
+    # one report; a new fast path adds its kernel to the swap list
+    tol = Tolerance(tau)
+    fast = run_battery(42, 60, jitter=jitter, tol=tol).to_dict()
+    _swap_in_references(monkeypatch)
+    assert run_battery(42, 60, jitter=jitter, tol=tol).to_dict() == fast
