@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
+from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, Vec
 from .pareto import FrontSet, Orientation, inner_efficient, nondominated
-from .relations import SetRelFamily, SetRelSpec, VecRel, _set_leq, _vec_eq, vec_cmp
+from .relations import (SetRelFamily, SetRelSpec, VecRel, _min_leq, _set_leq, _vec_eq,
+                        vec_cmp, weighted_min)
 
 
 class Kind(Enum):
@@ -111,11 +112,22 @@ def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Ver
     return Verdict(False, Witness(per_scenario[0][1], tuple(per_scenario)))
 
 
+def _lmin(inst: Instance, x: str, u: str, lam: Vec, tol: Tolerance) -> float:
+    """Least weighted sum over the tau-front of ``x`` in ``u``; memoized."""
+    key = ("lmin", x, u, lam, tol.tau)
+    hit = inst._cache.get(key)
+    if hit is None:
+        hit = inst._cache[key] = weighted_min(inner_efficient(inst, x, u, tol).points, lam)
+    return hit
+
+
 def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
                    spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Decide three-stage efficiency of ``x`` under the selected set relation,
-    comparing inner efficient fronts scenario by scenario; memoized."""
-    key = ("verdict", x, kind, strictness, spec, tol.tau)
+    comparing inner efficient fronts scenario by scenario (their weighted
+    minima, for lambda-min); memoized."""
+    family, lam, tau = spec.family, spec.lam, tol.tau
+    key = ("verdict", x, kind, strictness, family, lam, tau)
     hit = inst._cache.get(key)
     if hit is not None:
         return hit
@@ -127,15 +139,23 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
         raise ValueError("three-stage notions come in strict/weak variants only")
     if kind is Kind.MULTI_SCENARIO and strictness is not Strictness.STRICT:
         raise ValueError("weak multi-scenario efficiency is undefined")
-    if spec.family is SetRelFamily.LAMBDA_MIN and len(spec.lam) != inst.n:
-        raise ValueError(f"weight vector has length {len(spec.lam)}, points have {inst.n}")
+    if family is SetRelFamily.LAMBDA_MIN and len(lam) != inst.n:
+        raise ValueError(f"weight vector has length {len(lam)}, points have {inst.n}")
     strict = strictness is Strictness.WEAK
-    mine = {u: inner_efficient(inst, x, u, tol).points for u in inst.scenarios}
 
-    # the cached fronts are non-empty, n-dimensional and finite and the
-    # weight vector was checked above, so the scan skips set_cmp's checks
-    def dominates(xp: str, u: str) -> bool:
-        return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], spec, strict, tol.tau)
+    # the cached fronts are non-empty, sorted, n-dimensional and finite and
+    # the weight vector was checked above, so the kernels skip set_cmp's
+    # checks
+    if family is SetRelFamily.LAMBDA_MIN:
+        mine = {u: _lmin(inst, x, u, lam, tol) for u in inst.scenarios}
+
+        def dominates(xp: str, u: str) -> bool:
+            return _min_leq(_lmin(inst, xp, u, lam, tol), mine[u], strict, tau)
+    else:
+        mine = {u: inner_efficient(inst, x, u, tol).points for u in inst.scenarios}
+
+        def dominates(xp: str, u: str) -> bool:
+            return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], spec, strict, tau)
 
     hit = inst._cache[key] = _decide(inst, x, kind, dominates,
                                      lambda xp: all(dominates(xp, u) for u in inst.scenarios))

@@ -10,11 +10,11 @@ on top of them:
 
 For finite sets the cone-containment definitions of the upper/lower
 relations reduce exactly to the pointwise exists/forall characterizations
-used here.  Every relation reads one componentwise test, ``_below`` from
-:mod:`.instances`, the inlined rule of the injected :class:`Tolerance`;
-the set relations are one inlined scan, ``_set_leq``, over the points of
-both sets.  The rule compares infinite operands exactly without a
-finiteness branch.
+used here.  Every relation reads the inlined rule of the injected
+:class:`Tolerance` (``_below`` from :mod:`.instances` per vector).  The
+set relations are one kernel, ``_set_leq``, over lexicographically sorted
+points: one merge pass for two objectives, a pairwise scan otherwise.  The
+rule compares infinite operands exactly without a finiteness branch.
 """
 
 from __future__ import annotations
@@ -120,12 +120,25 @@ def weighted_min(points, lam: Vec) -> float:
     return min(dot(lam, p) for p in points)
 
 
+def _min_leq(a: float, b: float, strict: bool, tau: float) -> bool:
+    """The lambda-min relation on two weighted minima: :meth:`Tolerance.lt`
+    (strict) or :meth:`Tolerance.leq` with slack ``tau``, inlined."""
+    if strict:
+        return b - a > tau
+    return a - b <= tau or a <= b
+
+
 def _set_leq(A, B, spec: SetRelSpec, strict: bool, tau: float) -> bool:
     """``A <= B`` under ``spec``'s strict or non-strict variant with slack
-    ``tau``, for non-empty sequences of points of one dimension (the weight
-    vector's, for lambda-min)."""
+    ``tau``, for non-empty, lexicographically sorted sequences of points of
+    one dimension (the weight vector's, for lambda-min).  Two objectives
+    take the merge kernels :func:`_upper2` and :func:`_lower2`."""
     if spec.family is SetRelFamily.LAMBDA_MIN:
-        return _below((weighted_min(A, spec.lam),), (weighted_min(B, spec.lam),), strict, tau)
+        return _min_leq(weighted_min(A, spec.lam), weighted_min(B, spec.lam), strict, tau)
+    if len(A[0]) == 2:
+        if spec.family is SetRelFamily.UPPER:
+            return _upper2(A, B, strict, tau)
+        return _lower2(A, B, strict, tau)
     if spec.family is SetRelFamily.UPPER:
         # every point of A lies below some point of B
         for a in A:
@@ -145,17 +158,77 @@ def _set_leq(A, B, spec: SetRelSpec, strict: bool, tau: float) -> bool:
     return True
 
 
+# The merge kernels (the prefix extremum of Kung, Luccio & Preparata 1975).
+# For the upper relation, the points b of B whose first coordinate passes
+# the test of some a against it form a suffix of the sorted B: the test is
+# the very expression of ``_below``, and rounding is monotone, so it never
+# turns from true to false as b0 grows, nor as a0 falls.  Walking A in
+# descending order only extends that suffix, and some b in it passes the
+# second coordinate iff the suffix's greatest b1 does.  The lower relation
+# is the mirror image: a prefix of A and its least a1.  The non-strict
+# tests need an empty-candidate guard: against the infinite sentinel an
+# equal infinity gives a NaN difference and a true ``<=``.
+
+def _upper2(A, B, strict: bool, tau: float) -> bool:
+    """Every point of A lies below some point of B; two objectives."""
+    m = j = len(B)
+    best = -math.inf  # greatest b1 over the candidates B[j:]
+    if strict:
+        for a0, a1 in reversed(A):
+            while j and B[j - 1][0] - a0 > tau:
+                j -= 1
+                if B[j][1] > best:
+                    best = B[j][1]
+            if not best - a1 > tau:
+                return False
+        return True
+    for a0, a1 in reversed(A):
+        while j and (a0 - B[j - 1][0] <= tau or a0 <= B[j - 1][0]):
+            j -= 1
+            if B[j][1] > best:
+                best = B[j][1]
+        if j == m or not (a1 - best <= tau or a1 <= best):
+            return False
+    return True
+
+
+def _lower2(A, B, strict: bool, tau: float) -> bool:
+    """Every point of B lies above some point of A; two objectives."""
+    m = len(A)
+    i = 0
+    least = math.inf  # least a1 over the candidates A[:i]
+    if strict:
+        for b0, b1 in B:
+            while i < m and b0 - A[i][0] > tau:
+                if A[i][1] < least:
+                    least = A[i][1]
+                i += 1
+            if not b1 - least > tau:
+                return False
+        return True
+    for b0, b1 in B:
+        while i < m and (A[i][0] - b0 <= tau or A[i][0] <= b0):
+            if A[i][1] < least:
+                least = A[i][1]
+            i += 1
+        if not i or not (least - b1 <= tau or least <= b1):
+            return False
+    return True
+
+
 def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL,
             strict: bool = False) -> bool:
     """Compare two non-empty finite point sets under the selected relation,
     its strict variant when ``strict`` is set.
 
-    Checks the input, then runs the one inlined scan shared with the
+    Checks the input and sorts it, then runs the kernel shared with the
     efficiency checkers (``_set_leq``); infinite coordinates are compared
-    exactly.
+    exactly.  A NaN coordinate, or under lambda-min a NaN weighted sum (say
+    ``inf`` against ``-inf``, or ``0 * inf``), would make the answer depend
+    on the order of the points, so it raises ``ValueError``.
     """
-    A = tuple(A)
-    B = tuple(B)
+    A = sorted(map(tuple, A))
+    B = sorted(map(tuple, B))
     if not A or not B:
         raise ValueError("set relations are defined for non-empty sets only")
     dims = {len(p) for p in A} | {len(p) for p in B}
@@ -164,6 +237,11 @@ def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL,
     if spec.family is SetRelFamily.LAMBDA_MIN:
         if len(spec.lam) not in dims:
             raise ValueError(f"weight vector has length {len(spec.lam)}, points have {dims.pop()}")
+    for p in A + B:
+        if any(map(math.isnan, p)):
+            raise ValueError(f"point {p} has a NaN coordinate")
+        if spec.lam is not None and math.isnan(dot(spec.lam, p)):
+            raise ValueError(f"point {p} has a NaN weighted sum under weights {spec.lam}")
     return _set_leq(A, B, spec, strict, tol.tau)
 
 

@@ -21,7 +21,7 @@ from maro import (
 )
 from maro import efficiency
 
-from conftest import instances, near_tie_instances, singleton_instances
+from conftest import instances, near_tie_instances, singleton_instances, weights
 from oracles import brute_maro_verdict, brute_mro_verdict
 
 LOWER = SetRelSpec(SetRelFamily.LOWER)
@@ -293,14 +293,53 @@ def test_order_preserving_renaming_changes_only_names(inst, data):
                         tuple((u, name[xp]) for u, xp in v.witness.scenario_map))
 
 
+def _lmin(lam):
+    return SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam)
+
+
+POWERS_OF_TWO = st.sampled_from((-3, -1, 1, 2, 5)).map(lambda k: 2.0**k)
+
+
+@given(inst=instances, data=st.data())
+def test_scaling_an_objective_by_a_power_of_two_changes_no_verdict(inst, data):
+    # integer instances at tau = 0, where scaling by a power of two is
+    # exact: the upper and lower relations compare coordinate by coordinate,
+    # and a lambda-min relation whose weight on that objective is divided
+    # by the same power sees the same weighted sums
+    i = data.draw(st.integers(0, inst.n - 1), label="objective")
+    f = data.draw(POWERS_OF_TWO, label="factor")
+    lam = data.draw(weights(inst.n), label="lam")
+    scaled = make_instance(inst.name, inst.n, inst.decisions, inst.scenarios, {
+        key: tuple(tuple(c * f if j == i else c for j, c in enumerate(p)) for p in pts)
+        for key, pts in inst.recourse.items()})
+    back = tuple(c / f if j == i else c for j, c in enumerate(lam))
+    for x in inst.decisions:
+        for spec, spec_scaled in ((UPPER, UPPER), (LOWER, LOWER), (_lmin(lam), _lmin(back))):
+            for kind, s in MARO_COMBOS:
+                assert maro_efficient(scaled, x, kind, s, spec_scaled, EXACT) == \
+                    maro_efficient(inst, x, kind, s, spec, EXACT)
+
+
+@given(inst=instances, data=st.data())
+def test_scaling_the_weights_by_a_power_of_two_changes_no_verdict(inst, data):
+    # both weight vectors share one instance memo, keyed by the weights
+    lam = data.draw(weights(inst.n), label="lam")
+    f = data.draw(POWERS_OF_TWO, label="factor")
+    for x in inst.decisions:
+        for kind, s in MARO_COMBOS:
+            assert maro_efficient(inst, x, kind, s, _lmin(tuple(c * f for c in lam)), EXACT) == \
+                maro_efficient(inst, x, kind, s, _lmin(lam), EXACT)
+
+
 def test_mro_decides_without_set_relations(monkeypatch):
     # the singleton-coherence lemma compares mro_efficient with
     # maro_efficient, so the two-stage checker must not read set relations
     def forbidden(*args, **kwargs):
         raise AssertionError("mro_efficient reached a set relation")
 
-    # maro_efficient compares fronts with the set-relation kernel directly
-    for name in ("_set_leq", "inner_efficient", "maro_efficient"):
+    # maro_efficient compares fronts with the set-relation kernel, and
+    # their weighted minima with _min_leq, directly
+    for name in ("_set_leq", "_min_leq", "_lmin", "inner_efficient", "maro_efficient"):
         monkeypatch.setattr(efficiency, name, forbidden)
     inst = make_instance("pair", 2, ["a", "b"], ["u", "v"], {
         "a": {"u": [(1, 2)], "v": [(3, 1)]}, "b": {"u": [(1, 2)], "v": [(2, 1)]},

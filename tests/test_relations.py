@@ -20,7 +20,7 @@ from maro import (
 )
 
 from conftest import int_vecs, near_tie_sets, point_sets, weights
-from oracles import _tol_set_leq, brute_set_leq, tol_vec_cmp
+from oracles import _tol_set_leq, brute_set_leq, dot, tol_vec_cmp
 
 U = SetRelSpec(SetRelFamily.UPPER)
 L = SetRelSpec(SetRelFamily.LOWER)
@@ -156,14 +156,20 @@ def inf_tie_sets(n, tau):
 @given(data=st.data())
 def test_relations_match_tolerance_oracle(tau, n, data):
     # the inlined kernel against per-coordinate Tolerance semantics, on
-    # near ties at the slack boundary and on infinite coordinates
+    # near ties at the slack boundary and on infinite coordinates; opposite
+    # infinities give a NaN weighted sum, which lambda-min refuses
     A = data.draw(inf_tie_sets(n, tau), label="A")
     B = data.draw(inf_tie_sets(n, tau), label="B")
     lam = data.draw(weights(n), label="lam")
     tol = Tolerance(tau)
+    nan_sum = any(math.isnan(dot(lam, p)) for p in A + B)
     for strict in (False, True):
         for family in ("u", "l", "lmin"):
             spec = lmin(lam) if family == "lmin" else SetRelSpec(SetRelFamily(family))
+            if family == "lmin" and nan_sum:
+                with pytest.raises(ValueError, match="NaN weighted sum"):
+                    set_cmp(A, B, spec, tol, strict)
+                continue
             assert set_cmp(A, B, spec, tol, strict) == _tol_set_leq(A, B, family, strict, lam, tau)
     for a in A:
         for b in B:
@@ -189,6 +195,54 @@ def test_relations_exact_on_infinities(tau):
     A, B = {(inf, 1.0), (2.0, inf)}, {(inf, 0.0)}
     assert set_cmp(A, B, lmin((0.5, 0.5)), tol)
     assert not set_cmp(A, B, lmin((0.5, 0.5)), tol, strict=True)
+
+
+def test_set_cmp_refuses_nan_in_either_order():
+    # a NaN weighted sum (here inf against -inf) made the lambda-min minimum
+    # depend on the order of the points
+    inf = math.inf
+    for B in ([(0.0, 0.0), (-inf, inf)], [(-inf, inf), (0.0, 0.0)]):
+        with pytest.raises(ValueError, match=r"point \(-inf, inf\) has a NaN weighted sum"):
+            set_cmp([(0.0, 0.0)], B, lmin((0.5, 0.5)))
+        assert set_cmp([(0.0, 0.0)], B, U) and not set_cmp([(0.0, 0.0)], B, L)
+    for A in ([(1.0, inf), (2.0, 0.0)], [(2.0, 0.0), (1.0, inf)]):
+        with pytest.raises(ValueError, match=r"point \(1.0, inf\) has a NaN weighted sum"):
+            set_cmp(A, [(3.0, 3.0)], lmin((1.0, 0.0)))
+    for spec in (U, L, lmin((0.5, 0.5))):
+        with pytest.raises(ValueError, match=r"point \(nan, 1.0\) has a NaN coordinate"):
+            set_cmp([(0.0, 0.0)], [(1.0, 2.0), (math.nan, 1.0)], spec)
+
+
+# fixed two-objective cases of the merge kernels at the overflow edge and
+# at the empty-candidate guard: (A, B, tau) -> (u, u strict, l, l strict)
+BIG, HUGE = 1e308, 1.7e308
+MERGE_CASES = [
+    # differences that overflow to +-inf
+    (([(-HUGE, 0.0)], [(HUGE, 1.0)], 0.0), (True, True, True, True)),
+    (([(HUGE, 1.0)], [(-HUGE, 0.0)], 0.0), (False, False, False, False)),
+    (([(-BIG, HUGE)], [(BIG, -HUGE)], 1e-9), (False, False, False, False)),
+    (([(BIG, -HUGE), (HUGE, -BIG)], [(HUGE, HUGE)], 0.0), (True, False, True, True)),
+    (([(-HUGE, -HUGE)], [(-BIG, HUGE), (HUGE, -BIG)], 0.5), (True, True, True, True)),
+    # an a1 = -inf with an empty suffix: every b0 is below a0
+    (([(1.0, -math.inf)], [(0.0, 5.0)], 0.0), (False, False, False, False)),
+    (([(1.0, -math.inf)], [(0.0, -math.inf)], 1e-9), (False, False, False, False)),
+    # a b1 = +inf with an empty prefix: every a0 is above b0
+    (([(1.0, 0.0)], [(0.0, math.inf)], 0.0), (False, False, False, False)),
+    (([(1.0, math.inf)], [(0.0, math.inf)], 1e-9), (False, False, False, False)),
+    # the same points once a candidate exists
+    (([(0.0, -math.inf)], [(0.0, -math.inf)], 0.0), (True, False, True, False)),
+    (([(0.0, math.inf)], [(1.0, math.inf)], 0.0), (True, False, True, False)),
+]
+
+
+@pytest.mark.parametrize("case,expected", MERGE_CASES)
+def test_merge_kernel_fixed_cases(case, expected):
+    A, B, tau = case
+    got = tuple(set_cmp(A, B, spec, Tolerance(tau), strict)
+                for spec in (U, L) for strict in (False, True))
+    assert got == expected
+    assert got == tuple(_tol_set_leq(A, B, family, strict, None, tau)
+                        for family in ("u", "l") for strict in (False, True))
 
 
 def test_parse_relation():

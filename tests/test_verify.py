@@ -30,7 +30,7 @@ from maro import (
 from maro.verify import ALL_CHECKS
 
 from conftest import record_stores
-from oracles import _tol_leq, _tol_set_leq, dot, tol_front
+from oracles import _tol_leq, _tol_lt, _tol_set_leq, dot, tol_front
 
 HALF = Weight((0.5, 0.5))
 
@@ -319,12 +319,27 @@ def _plant_multi_scenario_reads_first_scenario(monkeypatch):
     monkeypatch.setattr("maro.efficiency._decide", first_only)
 
 
+def _plant_flimsy_decided_as_highly(monkeypatch):
+    import maro.efficiency
+
+    real = maro.efficiency._decide
+
+    def as_highly(inst, x, kind, dominates, dominates_all):
+        if kind is Kind.FLIMSY:
+            kind = Kind.HIGHLY
+        return real(inst, x, kind, dominates, dominates_all)
+
+    monkeypatch.setattr("maro.efficiency._decide", as_highly)
+
+
 def _plant_set_relation_ignores_strictness(monkeypatch):
     import maro.efficiency
 
-    real = maro.efficiency._set_leq
+    real_set, real_min = maro.efficiency._set_leq, maro.efficiency._min_leq
     monkeypatch.setattr("maro.efficiency._set_leq",
-                        lambda A, B, spec, strict, tau: real(A, B, spec, False, tau))
+                        lambda A, B, spec, strict, tau: real_set(A, B, spec, False, tau))
+    monkeypatch.setattr("maro.efficiency._min_leq",
+                        lambda a, b, strict, tau: real_min(a, b, False, tau))
 
 
 def _plant_strict_selection_keeps_every_minimizer(monkeypatch):
@@ -356,6 +371,9 @@ PLANTED_DEFECTS = [
                                    "but multi-scenario dominated by x3"),
         "thm_eps_implies_ms_lower": (7, "x=x3 strictly eps-efficient for eps=(20, 14) j=1 "
                                         "but multi-scenario dominated by x2"),
+    }),
+    (_plant_flimsy_decided_as_highly, {
+        "witness_replay": (855, "flimsy witness for x=x1 misses scenarios"),
     }),
     (_plant_set_relation_ignores_strictness, {
         "lemma_singleton_recourse_coherence": (4, "x=x1 highly/weak: two-stage True vs "
@@ -465,6 +483,13 @@ def _swap_in_references(monkeypatch):
         "maro.efficiency._set_leq",
         lambda A, B, spec, strict, tau:
         _tol_set_leq(A, B, spec.family.value, strict, spec.lam, tau))
+    monkeypatch.setattr(
+        "maro.efficiency._lmin",
+        lambda inst, x, u, lam, tol:
+        min(dot(lam, p) for p in tol_front(inst.points(x, u), "min", tol.tau)))
+    monkeypatch.setattr(
+        "maro.efficiency._min_leq",
+        lambda a, b, strict, tau: (_tol_lt if strict else _tol_leq)(a, b, tau))
     for module in ("scalarize", "images"):
         monkeypatch.setattr(f"maro.{module}._ws_minima", _ref_ws_minima)
     monkeypatch.setattr("maro.scalarize._eps_minima", _ref_eps_minima)
