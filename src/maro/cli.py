@@ -72,19 +72,22 @@ def _parse_weight(text: str):
         raise UsageError(f"bad --lambda {text!r}: {e}") from None
 
 
-def _parse_eps(text: str, j: int) -> tuple[float, ...]:
-    out = []
-    for i, token in enumerate(text.split(",")):
-        if token.strip() == "_":
-            if i != j - 1:
-                raise UsageError(f"placeholder '_' only allowed in slot {j} (the minimized one)")
-            out.append(0.0)
-        else:
-            try:
-                out.append(float(token))
-            except ValueError:
-                raise UsageError(f"bad --eps entry {token!r}") from None
-    return tuple(out)
+def _gen_bound(text: str, j: int):
+    """``GenBound`` of ``--eps``, where '_' may mark slot ``--j``, checked first."""
+    from .scalarize import GenBound
+
+    tokens = text.split(",")
+    eps = []
+    for token in tokens:
+        try:
+            eps.append(0.0 if token.strip() == "_" else float(token))
+        except ValueError:
+            raise UsageError(f"bad --eps entry {token!r}") from None
+    gb = GenBound(tuple(eps), j)
+    for i, token in enumerate(tokens):
+        if token.strip() == "_" and i != j - 1:
+            raise UsageError(f"placeholder '_' only allowed in slot {j} (the minimized one)")
+    return gb
 
 
 def _read_json(path: str, what: str):
@@ -192,10 +195,10 @@ def _cmd_solve_ws(args) -> int:
 
 def _cmd_solve_eps(args) -> int:
     from .efficiency import Strictness
-    from .scalarize import GenBound, eps_efficient_set
+    from .scalarize import eps_efficient_set
 
     inst, tol = _load(args)
-    gb = GenBound(_parse_eps(args.eps, args.j), args.j)
+    gb = _gen_bound(args.eps, args.j)
     sel = eps_efficient_set(inst, gb, Strictness(args.strictness), tol)
     _emit_json({
         "concept": "eps",
@@ -287,7 +290,7 @@ def _image(args, inst: Instance, tol: Tolerance) -> tuple[dict, list[str], list[
                    "infeasible": [list(p) for p in img.infeasible]}
             rows = [list(p) for p in img.points]
         elif args.eps:
-            gb = GenBound(_parse_eps(args.eps, args.j), args.j)
+            gb = _gen_bound(args.eps, args.j)
             one = image_eps(inst, gb, tol)
             doc = {"concept": "eps", "j": args.j, "point": list(one.point),
                    "feasible": one.feasible}
@@ -383,11 +386,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .images import compare_concepts
-    from .scalarize import GenBound
 
     inst, tol = _load(args)
     lam = _parse_weight(args.lam)
-    gb = GenBound(_parse_eps(args.eps, args.j), args.j)
+    gb = _gen_bound(args.eps, args.j)
     table = compare_concepts(inst, lam, gb, tol)
     if args.format == "md":
         sys.stdout.write(_compare_md(table))

@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, Vec
-from .pareto import FrontSet, Orientation, inner_efficient, nondominated
-from .relations import (SetRelFamily, SetRelSpec, VecRel, _min_leq, _set_leq, _vec_eq,
-                        vec_cmp, weighted_min)
+from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
+from .pareto import FrontSet, Orientation, _scenario_table, nondominated
+from .relations import SetRelFamily, SetRelSpec, VecRel, _set_leq, _vec_eq, vec_cmp
 
 
 class Kind(Enum):
@@ -84,11 +83,11 @@ def _check_decision(inst: Instance, x: str):
 def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Verdict:
     """The flimsy/highly/multi-scenario reduction shared by both checkers.
 
-    ``dominates(xp, u)`` decides domination of ``x`` by ``xp`` in scenario
-    ``u``, ``dominates_all(xp)`` over all scenarios at once.  Competitors are
-    scanned in lexicographic order and scenarios in document order, so
-    negative verdicts are deterministic; point-based witnesses name no
-    scenario.
+    ``dominates(xp, i)`` decides domination of ``x`` by ``xp`` in the
+    scenario of index ``i``, ``dominates_all(xp)`` over all scenarios at
+    once.  Competitors are scanned in lexicographic order and scenarios in
+    document order, so negative verdicts are deterministic; point-based
+    witnesses name no scenario.
     """
     others = sorted(d for d in inst.decisions if d != x)
     if kind in (Kind.MULTI_SCENARIO, Kind.POINT_BASED):
@@ -99,8 +98,8 @@ def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Ver
         return Verdict(False, Witness(dom, tuple((u, dom) for u in named)))
 
     per_scenario: list[tuple[str, str]] = []
-    for u in inst.scenarios:
-        dom = next((xp for xp in others if dominates(xp, u)), None)
+    for i, u in enumerate(inst.scenarios):
+        dom = next((xp for xp in others if dominates(xp, i)), None)
         if dom is None and kind is Kind.FLIMSY:
             return _EFFICIENT
         if dom is not None and kind is Kind.HIGHLY:
@@ -112,20 +111,11 @@ def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Ver
     return Verdict(False, Witness(per_scenario[0][1], tuple(per_scenario)))
 
 
-def _lmin(inst: Instance, x: str, u: str, lam: Vec, tol: Tolerance) -> float:
-    """Least weighted sum over the tau-front of ``x`` in ``u``; memoized."""
-    key = ("lmin", x, u, lam, tol.tau)
-    hit = inst._cache.get(key)
-    if hit is None:
-        hit = inst._cache[key] = weighted_min(inner_efficient(inst, x, u, tol).points, lam)
-    return hit
-
-
 def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
                    spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Decide three-stage efficiency of ``x`` under the selected set relation,
-    comparing inner efficient fronts scenario by scenario (their weighted
-    minima, for lambda-min); memoized."""
+    comparing scenario by scenario the entries of the scenario tables (inner
+    efficient fronts, or their weighted minima for lambda-min); memoized."""
     family, lam, tau = spec.family, spec.lam, tol.tau
     key = ("verdict", x, kind, strictness, family, lam, tau)
     hit = inst._cache.get(key)
@@ -143,22 +133,15 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
         raise ValueError(f"weight vector has length {len(lam)}, points have {inst.n}")
     strict = strictness is Strictness.WEAK
 
-    # the cached fronts are non-empty, sorted, n-dimensional and finite and
-    # the weight vector was checked above, so the kernels skip set_cmp's
-    # checks
-    if family is SetRelFamily.LAMBDA_MIN:
-        mine = {u: _lmin(inst, x, u, lam, tol) for u in inst.scenarios}
+    # table entries are sorted finite fronts, or minima the table checked for
+    # NaN under the weights checked above, so the kernel skips set_cmp's checks
+    mine = _scenario_table(inst, x, lam, tol)
 
-        def dominates(xp: str, u: str) -> bool:
-            return _min_leq(_lmin(inst, xp, u, lam, tol), mine[u], strict, tau)
-    else:
-        mine = {u: inner_efficient(inst, x, u, tol).points for u in inst.scenarios}
-
-        def dominates(xp: str, u: str) -> bool:
-            return _set_leq(inner_efficient(inst, xp, u, tol).points, mine[u], spec, strict, tau)
+    def dominates(xp: str, i: int) -> bool:
+        return _set_leq(_scenario_table(inst, xp, lam, tol)[i], mine[i], family, strict, tau)
 
     hit = inst._cache[key] = _decide(inst, x, kind, dominates,
-                                     lambda xp: all(dominates(xp, u) for u in inst.scenarios))
+                                     lambda xp: all(dominates(xp, i) for i in range(len(mine))))
     return hit
 
 
@@ -176,7 +159,7 @@ def smaro_set(inst: Instance, tol: Tolerance = DEFAULT_TOL) -> SmaroResult:
     mid: dict[str, FrontSet] = {}
     pool: list = []
     for x in inst.decisions:
-        union = {p for u in inst.scenarios for p in inner_efficient(inst, x, u, tol).points}
+        union = {p for front in _scenario_table(inst, x, None, tol) for p in front}
         mid[x] = nondominated(union, Orientation.MAX, tol)
         pool.extend(mid[x].points)
     outer = nondominated(set(pool), Orientation.MIN, tol)
@@ -225,6 +208,7 @@ def mro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
         return tuple(c for u in inst.scenarios for c in vals[(d, u)])
 
     mine = outcome(x)
+    us = inst.scenarios
     return _decide(inst, x, kind,
-                   lambda xp, u: vec_cmp(vals[(xp, u)], vals[(x, u)], rel, tol),
+                   lambda xp, i: vec_cmp(vals[(xp, us[i])], vals[(x, us[i])], rel, tol),
                    lambda xp: vec_cmp(outcome(xp), mine, rel, tol))

@@ -8,6 +8,7 @@ from enum import Enum
 from itertools import chain
 
 from .instances import DEFAULT_TOL, Instance, Tolerance, Vec
+from .relations import _refuse_nan_sum, weighted_min
 
 
 class Orientation(Enum):
@@ -206,6 +207,28 @@ def inner_efficient(inst: Instance, x: str, u: str,
     if hit is None:
         pts = sorted(map(tuple, inst.points(x, u)))
         hit = inst._cache[key] = _sorted_front(pts, inst.n, True, Orientation.MIN, tol.tau)
+    return hit
+
+
+def _scenario_table(inst: Instance, x: str, lam: Vec | None, tol: Tolerance) -> tuple:
+    """One entry per scenario of ``x``, in document order: the tau-front of
+    its recourse image or, with weights ``lam`` (else None), the least
+    weighted sum over it, refused once if NaN.  At tau = 0 the weighted-sum
+    concept and the lambda-min verdicts share each entry."""
+    key = ("table", x, lam, tol.tau)
+    hit = inst._cache.get(key)
+    if hit is None:
+        if lam is None:
+            hit = tuple(inner_efficient(inst, x, u, tol).points for u in inst.scenarios)
+        else:
+            fronts = _scenario_table(inst, x, None, tol)
+            # instance points are finite, so a sum is NaN only if a product
+            # overflows, which takes a weight above 1
+            if max(lam) > 1.0:
+                for u, front in zip(inst.scenarios, fronts):
+                    _refuse_nan_sum(front, lam, f"recourse.{x}.{u}: ")
+            hit = tuple(weighted_min(front, lam) for front in fronts)
+        inst._cache[key] = hit
     return hit
 
 

@@ -12,9 +12,9 @@ For finite sets the cone-containment definitions of the upper/lower
 relations reduce exactly to the pointwise exists/forall characterizations
 used here.  Every relation reads the inlined rule of the injected
 :class:`Tolerance` (``_below`` from :mod:`.instances` per vector).  The
-set relations are one kernel, ``_set_leq``, over lexicographically sorted
-points: one merge pass for two objectives, a pairwise scan otherwise.  The
-rule compares infinite operands exactly without a finiteness branch.
+set relations are one kernel, ``_set_leq``, over sorted points (one merge
+pass for two objectives, a pairwise scan otherwise) or two weighted minima.
+The rule compares infinite operands exactly without a finiteness branch.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ class SetRelFamily(Enum):
     # members are singletons compared by identity; Enum's own __hash__ is a
     # Python-level call on every memo-key lookup, object's is not
     __hash__ = object.__hash__
+
+
+# for the kernel: on Python 3.11 a member read off its class costs more than
+# a lambda-min comparison, since EnumType's __getattr__ defeats the attribute cache
+_UPPER, _LAMBDA_MIN = SetRelFamily.UPPER, SetRelFamily.LAMBDA_MIN
 
 
 def _check_lam(lam: Vec):
@@ -111,35 +116,37 @@ def vec_cmp(a: Vec, b: Vec, rel: VecRel, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def weighted_min(points, lam: Vec) -> float:
     """Least weighted sum over a non-empty sequence of points of the weight
-    vector's dimension.  For two objectives ``dot`` is unrolled in its own
-    summation order, ``(0.0 + l0 * p0) + l1 * p1``, so each sum is the same
-    float, without a call per point."""
+    vector's dimension; a NaN sum would make it depend on the point order, so
+    callers refuse one (:func:`_refuse_nan_sum`).  Two objectives unroll
+    ``dot`` in its summation order, so each sum is the same float."""
     if len(lam) == 2:
         l0, l1 = lam
-        return min(0.0 + l0 * p0 + l1 * p1 for p0, p1 in points)
-    return min(dot(lam, p) for p in points)
+        return min([0.0 + l0 * p0 + l1 * p1 for p0, p1 in points])
+    return min([dot(lam, p) for p in points])
 
 
-def _min_leq(a: float, b: float, strict: bool, tau: float) -> bool:
-    """The lambda-min relation on two weighted minima: :meth:`Tolerance.lt`
-    (strict) or :meth:`Tolerance.leq` with slack ``tau``, inlined."""
-    if strict:
-        return b - a > tau
-    return a - b <= tau or a <= b
+def _refuse_nan_sum(points, lam: Vec, where: str = ""):
+    """Refuse with ``ValueError``, naming the point after ``where``, a NaN
+    weighted sum (``inf`` against ``-inf``, or ``0 * inf``): see weighted_min."""
+    for p in points:
+        if math.isnan(dot(lam, p)):
+            raise ValueError(f"{where}point {p} has a NaN weighted sum under weights {lam}")
 
 
-def _set_leq(A, B, spec: SetRelSpec, strict: bool, tau: float) -> bool:
-    """``A <= B`` under ``spec``'s strict or non-strict variant with slack
-    ``tau``, for non-empty, lexicographically sorted sequences of points of
-    one dimension (the weight vector's, for lambda-min).  Two objectives
-    take the merge kernels :func:`_upper2` and :func:`_lower2`."""
-    if spec.family is SetRelFamily.LAMBDA_MIN:
-        return _min_leq(weighted_min(A, spec.lam), weighted_min(B, spec.lam), strict, tau)
+def _set_leq(A, B, family: SetRelFamily, strict: bool, tau: float) -> bool:
+    """``A <= B`` under ``family``'s strict or non-strict variant with slack
+    ``tau``: on two weighted minima for lambda-min (``Tolerance.lt``/``leq``
+    inlined), else on non-empty, sorted point sequences of one dimension,
+    two objectives taking the merge kernels :func:`_upper2`/:func:`_lower2`."""
+    if family is _LAMBDA_MIN:
+        if strict:
+            return B - A > tau
+        return A - B <= tau or A <= B
     if len(A[0]) == 2:
-        if spec.family is SetRelFamily.UPPER:
+        if family is _UPPER:
             return _upper2(A, B, strict, tau)
         return _lower2(A, B, strict, tau)
-    if spec.family is SetRelFamily.UPPER:
+    if family is _UPPER:
         # every point of A lies below some point of B
         for a in A:
             for b in B:
@@ -222,7 +229,8 @@ def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL,
     its strict variant when ``strict`` is set.
 
     Checks the input and sorts it, then runs the kernel shared with the
-    efficiency checkers (``_set_leq``); infinite coordinates are compared
+    efficiency checkers (``_set_leq``) on the sorted sets, or under
+    lambda-min on their weighted minima; infinite coordinates are compared
     exactly.  A NaN coordinate, or under lambda-min a NaN weighted sum (say
     ``inf`` against ``-inf``, or ``0 * inf``), would make the answer depend
     on the order of the points, so it raises ``ValueError``.
@@ -234,15 +242,15 @@ def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL,
     dims = {len(p) for p in A} | {len(p) for p in B}
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch across sets: {sorted(dims)}")
-    if spec.family is SetRelFamily.LAMBDA_MIN:
-        if len(spec.lam) not in dims:
-            raise ValueError(f"weight vector has length {len(spec.lam)}, points have {dims.pop()}")
     for p in A + B:
         if any(map(math.isnan, p)):
             raise ValueError(f"point {p} has a NaN coordinate")
-        if spec.lam is not None and math.isnan(dot(spec.lam, p)):
-            raise ValueError(f"point {p} has a NaN weighted sum under weights {spec.lam}")
-    return _set_leq(A, B, spec, strict, tol.tau)
+    if spec.family is SetRelFamily.LAMBDA_MIN:
+        if len(spec.lam) not in dims:
+            raise ValueError(f"weight vector has length {len(spec.lam)}, points have {dims.pop()}")
+        _refuse_nan_sum(A + B, spec.lam)
+        A, B = weighted_min(A, spec.lam), weighted_min(B, spec.lam)
+    return _set_leq(A, B, spec.family, strict, tol.tau)
 
 
 def parse_relation(text: str) -> SetRelSpec:

@@ -20,16 +20,15 @@ non-negative and float ``*``, ``+`` and ``-`` round monotonically, so
 ``p_k <= q_k``: each minimum is the same float and each test the same
 boolean as over all points.  The front is taken at tau = 0, never at the
 caller's tolerance, because a tau-front may drop a point better by up to
-tau.  Each decision's fronts form one table, ``_fronts``: a tuple with one
-front per scenario in document order, which the per-scenario minima and
-the point-based value read in plain loops.  The constraint minima test
-their caps with a precomputed list of (index, cap) pairs and the inlined
-rule of ``Tolerance.leq``, the same for every number of objectives.
-Fronts, the point-based value and the per-scenario minima of the other two
-concepts are memoized on the instance, keyed by every argument they depend
-on, so each is computed once whichever caller asks first; a failed call
-stores nothing and raises again.  The values, the bound checks, the images
-and the selections all read these minima.
+tau.  So each concept reads ``pareto._scenario_table`` at tau = 0: per
+scenario the front, or its least weighted sum, which the lambda-min
+verdicts at tau = 0 share.  The constraint minima test their caps with a
+precomputed list of (index, cap) pairs and the inlined rule of
+``Tolerance.leq``, the same for every number of objectives.  Tables, the
+point-based value and the constraint minima are memoized on the instance
+under every argument they depend on, so each is computed once for all its
+readers (values, bound checks, images, selections); a failed call stores
+nothing and raises again.
 """
 
 from __future__ import annotations
@@ -39,22 +38,10 @@ from dataclasses import dataclass
 
 from .efficiency import _VEC_REL, Strictness
 from .instances import DEFAULT_TOL, INF, Instance, InstanceError, Tolerance, Vec
-from .pareto import Orientation, ideal, inner_efficient
-from .relations import VecRel, Weight, vec_cmp, weighted_min
+from .pareto import Orientation, _scenario_table, ideal
+from .relations import VecRel, Weight, vec_cmp
 
 _EXACT = Tolerance(0.0)
-
-
-def _fronts(inst: Instance, x: str) -> tuple[tuple[Vec, ...], ...]:
-    """Exact efficient fronts of the recourse images of ``x``, one per
-    scenario in document order: every minimum of a monotone scalarization
-    over an image is attained on its front."""
-    key = ("fronts", x)
-    hit = inst._cache.get(key)
-    if hit is None:
-        hit = inst._cache[key] = tuple(inner_efficient(inst, x, u, _EXACT).points
-                                       for u in inst.scenarios)
-    return hit
 
 
 @dataclass(frozen=True)
@@ -100,14 +87,9 @@ class Selection:
 
 def _ws_minima(inst: Instance, x: str, lam: Weight) -> tuple[float, ...]:
     """Best weighted sum over recourse, per scenario in document order."""
-    key = ("ws", x, lam.values)
-    hit = inst._cache.get(key)
-    if hit is None:
-        if len(lam.values) != inst.n:
-            raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
-        hit = inst._cache[key] = tuple(weighted_min(front, lam.values)
-                                       for front in _fronts(inst, x))
-    return hit
+    if len(lam.values) != inst.n:
+        raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
+    return _scenario_table(inst, x, lam.values, _EXACT)
 
 
 def _eps_minima(inst: Instance, x: str, gb: GenBound, tol: Tolerance) -> tuple[float, ...]:
@@ -122,7 +104,7 @@ def _eps_minima(inst: Instance, x: str, gb: GenBound, tol: Tolerance) -> tuple[f
         caps = [(i, e) for i, e in enumerate(gb.eps) if i != k]
         tau = tol.tau
         per_scenario = []
-        for front in _fronts(inst, x):
+        for front in _scenario_table(inst, x, None, _EXACT):
             best = INF
             for p in front:
                 for i, e in caps:
@@ -155,7 +137,7 @@ def f_pb(inst: Instance, x: str) -> Vec:
     key = ("pb", x)
     hit = inst._cache.get(key)
     if hit is None:
-        ideals = [tuple(map(min, zip(*front))) for front in _fronts(inst, x)]
+        ideals = [tuple(map(min, zip(*f))) for f in _scenario_table(inst, x, None, _EXACT)]
         hit = inst._cache[key] = tuple(map(max, zip(*ideals)))
     return hit
 

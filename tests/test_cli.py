@@ -125,6 +125,21 @@ def test_solve_ws(capsys):
     assert doc["efficient"] == ["x2"] and doc["guarantees"]["x2"] == 5
 
 
+@pytest.mark.parametrize("points", [[[1e308, -1e308], [0, 5]], [[0, 5], [1e308, -1e308]]])
+@pytest.mark.parametrize("x", ["a", "b"])
+def test_nan_weighted_minimum_is_a_usage_error(tmp_path, capsys, points, x):
+    # an unnormalized weight overflows two products to opposite infinities
+    doc = tmp_path / "nan.json"
+    doc.write_text(json.dumps({
+        "name": "nan", "n": 2, "decisions": ["a", "b"], "scenarios": ["u"],
+        "recourse": {"a": {"u": points}, "b": {"u": [[0, 0]]}},
+    }))
+    code, out, err = run(capsys, "efficiency", "--instance", str(doc), "--x", x,
+                         "--kind", "highly", "--rel", "lmin:2,2")
+    assert (code, out, err) == (2, "", "maro: recourse.a.u: point (1e+308, -1e+308) has a "
+                                       "NaN weighted sum under weights (2.0, 2.0)\n")
+
+
 @pytest.mark.parametrize("lam", ["nan,1", "1,nan", "inf,1"])
 def test_non_finite_weights_are_usage_errors(capsys, lam):
     code, out, err = run(capsys, "solve-ws", "--fixture", "FIG2L", "--lambda", lam)
@@ -155,6 +170,16 @@ def test_solve_eps_misplaced_placeholder(capsys):
     code, _, err = run(capsys, "solve-eps", "--fixture", "FIG2L",
                        "--eps", "7,_", "--j", "1")
     assert code == 2 and "placeholder" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("solve-eps",), ("image", "eps"), ("compare", "--lambda", "0.5,0.5"),
+])
+@pytest.mark.parametrize("eps,j", [("_,5", "3"), ("_,5", "0"), ("5,_", "0"), ("5,_", "-1")])
+def test_eps_index_is_checked_before_the_placeholder(capsys, command, eps, j):
+    # a placeholder can only be misplaced relative to a valid index
+    code, out, err = run(capsys, *command, "--fixture", "FIG4", "--eps", eps, "--j", j)
+    assert (code, out, err) == (2, "", f"maro: objective index must lie in 1..2, got {j}\n")
 
 
 def test_efficiency_multi_scenario(capsys):

@@ -1,17 +1,23 @@
 """Three-stage and two-stage efficiency checkers, the nesting set, witnesses."""
 
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from maro import (
+    GenConfig,
     InstanceError,
     Kind,
     SetRelFamily,
     SetRelSpec,
     Strictness,
     Tolerance,
+    Weight,
+    f_lambda,
     fixture,
+    generate,
     inner_efficient,
     make_instance,
     maro_efficient,
@@ -21,8 +27,9 @@ from maro import (
 )
 from maro import efficiency
 
-from conftest import instances, near_tie_instances, singleton_instances, weights
-from oracles import brute_maro_verdict, brute_mro_verdict
+from conftest import (instances, near_tie_instances, point_sets, record_stores,
+                      singleton_instances, weights)
+from oracles import brute_maro_verdict, brute_mro_verdict, dot, tol_front
 
 LOWER = SetRelSpec(SetRelFamily.LOWER)
 UPPER = SetRelSpec(SetRelFamily.UPPER)
@@ -331,15 +338,108 @@ def test_scaling_the_weights_by_a_power_of_two_changes_no_verdict(inst, data):
                 maro_efficient(inst, x, kind, s, _lmin(lam), EXACT)
 
 
+@given(inst=instances, data=st.data())
+def test_adding_a_decision_turns_no_negative_verdict_positive(inst, data):
+    # integer instances at tau = 0: a dominator of x stays one when another
+    # decision joins, wherever its name sorts among the competitors
+    new = data.draw(st.sampled_from(("a", "x0", "x15", "zz")), label="name")
+    sets = data.draw(st.lists(point_sets(inst.n), min_size=len(inst.scenarios),
+                              max_size=len(inst.scenarios)), label="recourse")
+    grown = make_instance(inst.name, inst.n, inst.decisions + (new,), inst.scenarios, {
+        **inst.recourse, **{(new, u): pts for u, pts in zip(inst.scenarios, sets)}})
+    for x in inst.decisions:
+        for spec in _specs(inst.n):
+            for kind, s in MARO_COMBOS:
+                if not maro_efficient(inst, x, kind, s, spec, EXACT).efficient:
+                    assert not maro_efficient(grown, x, kind, s, spec, EXACT).efficient
+
+
+def test_lmin_verdicts_at_tau_zero_read_the_weighted_sum_minima():
+    # the weighted-sum concept and the lambda-min relation read one memo
+    # entry per decision and weight vector
+    inst = generate(GenConfig(seed=11, n=2, nx=4, nu=3, ny=5))
+    stored = record_stores(inst)
+    lam = Weight((0.25, 0.75))
+    for x in inst.decisions:
+        f_lambda(inst, x, lam)
+    filled = len(stored)
+    spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam.values)
+    for x in inst.decisions:
+        for kind, s in MARO_COMBOS:
+            maro_efficient(inst, x, kind, s, spec, EXACT)
+    assert {key[0] for key in stored[filled:]} == {"verdict"}
+
+
+_NAN_SUM = r"recourse\.a\.u: point \(1e\+308, -1e\+308\) has a NaN weighted sum"
+
+
+def test_lmin_verdict_refuses_a_nan_weighted_minimum():
+    # an unnormalized weight overflows two products to opposite infinities;
+    # a NaN sum would make the least sum depend on the order of the points
+    spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=(2.0, 2.0))
+    for pts in ([(1e308, -1e308), (0.0, 5.0)], [(0.0, 5.0), (1e308, -1e308)]):
+        inst = make_instance("nan", 2, ["a", "b"], ["u"], {"a": {"u": pts}, "b": {"u": [(0, 0)]}})
+        for x in ("a", "b"):
+            for kind, s in MARO_COMBOS:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=_NAN_SUM):
+                        maro_efficient(inst, x, kind, s, spec)
+                assert _outcome(maro_efficient(inst, x, kind, s, UPPER)) == \
+                    brute_maro_verdict(inst, x, kind.value, s.value, "u", None, 1e-9)
+
+
+_HUGE = st.sampled_from((-1.7e308, -1e308, -1.0, 0.0, 1.0, 1e308, 1.7e308))
+
+
+def _huge_instances():
+    """Two-objective instances with 2-3 decisions and 1-2 scenarios whose
+    coordinates lie near +-1e308."""
+
+    def build(shape):
+        nx, nu = shape
+        keys = [(f"x{i}", f"u{k}") for i in range(nx) for k in range(nu)]
+        sets = st.lists(st.lists(st.tuples(_HUGE, _HUGE), min_size=1, max_size=3),
+                        min_size=len(keys), max_size=len(keys))
+        return sets.map(lambda ss: make_instance(
+            "huge", 2, [f"x{i}" for i in range(nx)], [f"u{k}" for k in range(nu)],
+            dict(zip(keys, ss))))
+
+    return st.tuples(st.integers(2, 3), st.integers(1, 2)).flatmap(build)
+
+
+@pytest.mark.parametrize("tau", (0.0, 1e-9))
+@given(inst=_huge_instances(),
+       lam=st.tuples(*[st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))] * 2).filter(any))
+def test_lmin_verdicts_near_overflow_match_oracles_or_refuse_nan(tau, inst, lam):
+    # a decision whose tau-front has a NaN weighted sum is refused when its
+    # table entry is read: always for x itself, and for a competitor when
+    # the scan reaches it; every verdict that is given matches the oracle
+    tol = Tolerance(tau)
+    spec = SetRelSpec(SetRelFamily.LAMBDA_MIN, lam=lam)
+    nan_sum = {d: any(math.isnan(dot(lam, p)) for u in inst.scenarios
+                      for p in tol_front(inst.recourse[(d, u)], "min", tau))
+               for d in inst.decisions}
+    for x in inst.decisions:
+        for kind, s in MARO_COMBOS:
+            try:
+                got = maro_efficient(inst, x, kind, s, spec, tol)
+            except ValueError as e:
+                assert "NaN weighted sum" in str(e) and any(nan_sum.values())
+                continue
+            assert not nan_sum[x]
+            assert _outcome(got) == brute_maro_verdict(inst, x, kind.value, s.value,
+                                                       "lmin", lam, tau)
+
+
 def test_mro_decides_without_set_relations(monkeypatch):
     # the singleton-coherence lemma compares mro_efficient with
     # maro_efficient, so the two-stage checker must not read set relations
     def forbidden(*args, **kwargs):
         raise AssertionError("mro_efficient reached a set relation")
 
-    # maro_efficient compares fronts with the set-relation kernel, and
-    # their weighted minima with _min_leq, directly
-    for name in ("_set_leq", "_min_leq", "_lmin", "inner_efficient", "maro_efficient"):
+    # maro_efficient compares the entries of the scenario tables with the
+    # set-relation kernel directly
+    for name in ("_set_leq", "_scenario_table", "maro_efficient"):
         monkeypatch.setattr(efficiency, name, forbidden)
     inst = make_instance("pair", 2, ["a", "b"], ["u", "v"], {
         "a": {"u": [(1, 2)], "v": [(3, 1)]}, "b": {"u": [(1, 2)], "v": [(2, 1)]},

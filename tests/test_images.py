@@ -170,16 +170,16 @@ def test_render_svg_escapes_labels():
 def test_images_build_each_front_once(monkeypatch):
     # the scalar concepts read one table of fronts per decision, so the
     # three images together compute each (decision, scenario) front once
-    import maro.scalarize
+    import maro.pareto
 
     calls = []
-    real = maro.scalarize.inner_efficient
+    real = maro.pareto.inner_efficient
 
     def counting(inst, x, u, tol):
         calls.append((x, u))
         return real(inst, x, u, tol)
 
-    monkeypatch.setattr("maro.scalarize.inner_efficient", counting)
+    monkeypatch.setattr("maro.pareto.inner_efficient", counting)
     inst = generate(GenConfig(seed=5, n=2, nx=5, nu=3, ny=8))
     for w in WeightGrid(2, 10).weights:
         image_ws(inst, w)

@@ -8,6 +8,7 @@ from maro import (
     GenBound,
     GenConfig,
     Kind,
+    SetRelFamily,
     Strictness,
     Tolerance,
     Weight,
@@ -285,12 +286,32 @@ def test_selected_check_computes_no_verdicts(monkeypatch):
     assert rep.passed and set(rep.reports) == {"remark_pb_sandwich", "eps_value_monotone"}
 
 
+def _drop_last_point(weighted_min):
+    return lambda pts, lam: weighted_min(pts[:-1] if len(pts) > 1 else pts, lam)
+
+
 def _plant_ws_min_drops_last_point(monkeypatch):
+    # the weighted-sum concept's reading of the scenario table only; the
+    # lambda-min verdicts read the real table
+    import maro.pareto
     import maro.scalarize
 
-    real = maro.scalarize.weighted_min
-    monkeypatch.setattr("maro.scalarize.weighted_min",
-                        lambda pts, lam: real(pts[:-1] if len(pts) > 1 else pts, lam))
+    real = maro.scalarize._scenario_table
+    dropped = _drop_last_point(maro.pareto.weighted_min)
+
+    def ws_dropped(inst, x, lam, tol):
+        fronts = real(inst, x, None, tol)
+        return fronts if lam is None else tuple(dropped(front, lam) for front in fronts)
+
+    monkeypatch.setattr("maro.scalarize._scenario_table", ws_dropped)
+
+
+def _plant_weighted_min_drops_last_point(monkeypatch):
+    # the one weighted minimum that the weighted-sum concept and the
+    # lambda-min verdicts share
+    import maro.pareto
+
+    monkeypatch.setattr("maro.pareto.weighted_min", _drop_last_point(maro.pareto.weighted_min))
 
 
 def _plant_eps_minima_ignore_caps(monkeypatch):
@@ -312,8 +333,7 @@ def _plant_multi_scenario_reads_first_scenario(monkeypatch):
 
     def first_only(inst, x, kind, dominates, dominates_all):
         if kind is Kind.MULTI_SCENARIO:
-            u0 = inst.scenarios[0]
-            return real(inst, x, kind, dominates, lambda xp: dominates(xp, u0))
+            return real(inst, x, kind, dominates, lambda xp: dominates(xp, 0))
         return real(inst, x, kind, dominates, dominates_all)
 
     monkeypatch.setattr("maro.efficiency._decide", first_only)
@@ -335,11 +355,9 @@ def _plant_flimsy_decided_as_highly(monkeypatch):
 def _plant_set_relation_ignores_strictness(monkeypatch):
     import maro.efficiency
 
-    real_set, real_min = maro.efficiency._set_leq, maro.efficiency._min_leq
+    real = maro.efficiency._set_leq
     monkeypatch.setattr("maro.efficiency._set_leq",
-                        lambda A, B, spec, strict, tau: real_set(A, B, spec, False, tau))
-    monkeypatch.setattr("maro.efficiency._min_leq",
-                        lambda a, b, strict, tau: real_min(a, b, False, tau))
+                        lambda A, B, family, strict, tau: real(A, B, family, False, tau))
 
 
 def _plant_strict_selection_keeps_every_minimizer(monkeypatch):
@@ -380,6 +398,11 @@ PLANTED_DEFECTS = [
                                                   "three-stage[u] False"),
         "remark_single_scenario_coherence": (14, "x=x1 flimsy/weak family=u: False != True"),
         "witness_replay": (160, "witness (x4) for x=x1 kind=flimsy does not replay"),
+    }),
+    (_plant_weighted_min_drops_last_point, {
+        "remark_single_scenario_coherence": (10, "x=x1 flimsy/strict family=lmin: True != False"),
+        "witness_replay": (102, "witness (x1) for x=x2 kind=flimsy does not replay"),
+        "unit_weight_reduces_to_pb": (227, "x=x1 objective 2: unit-weight value 11 != 2"),
     }),
     (_plant_strict_selection_keeps_every_minimizer, {
         "thm_ws_implies_ms": (14, "x=x2 strictly ws-efficient for lam=(0.5, 0.5) (value 4) "
@@ -439,18 +462,32 @@ def test_compare_computes_each_selection_value_once(monkeypatch):
     def no_front(*args):
         raise AssertionError("a bound check rescanned a recourse front")
 
-    monkeypatch.setattr("maro.scalarize._fronts", no_front)
+    monkeypatch.setattr("maro.pareto.inner_efficient", no_front)
+    monkeypatch.setattr("maro.pareto.weighted_min", no_front)
     for x in inst.decisions:
         assert check_ws_bound(inst, x, HALF, table["weighted_sum"]["guarantee"].get(x, 1e9))
         check_eps_bound(inst, x, gb, 5.0)
-    values = [key[:2] for key in stored if key[0] in ("ws", "eps", "pb")]
+    values = [key[:2] for key in stored if key[0] in ("eps", "pb")]
+    values += [("ws", key[1]) for key in stored if key[0] == "table" and key[2] == HALF.values]
     assert sorted(values) == sorted((name, x) for name in ("ws", "eps", "pb")
                                     for x in inst.decisions)
 
 
-def _ref_ws_minima(inst, x, lam):
-    """Least weighted sum over all recourse points, per scenario."""
-    return tuple(min(dot(lam.values, p) for p in inst.points(x, u)) for u in inst.scenarios)
+def _ref_table(inst, x, lam, tol):
+    """Each scenario's tau-front, or the least weighted sum over it: over
+    every recourse point at tau = 0, where the exact front keeps each
+    minimum."""
+    if lam is None:
+        return tuple(tuple(tol_front(inst.points(x, u), "min", tol.tau)) for u in inst.scenarios)
+    return tuple(min(dot(lam, p) for p in (inst.points(x, u) if tol.tau == 0.0 else
+                                           tol_front(inst.points(x, u), "min", tol.tau)))
+                 for u in inst.scenarios)
+
+
+def _ref_set_leq(A, B, family, strict, tau):
+    if family is SetRelFamily.LAMBDA_MIN:
+        return (_tol_lt if strict else _tol_leq)(A, B, tau)
+    return _tol_set_leq(A, B, family.value, strict, None, tau)
 
 
 def _ref_eps_minima(inst, x, gb, tol):
@@ -479,22 +516,10 @@ def _swap_in_references(monkeypatch):
         "maro.pareto._sorted_front",
         lambda pts, n, finite, orientation, tau:
         _ref_nondominated(pts, orientation, Tolerance(tau)))
-    monkeypatch.setattr(
-        "maro.efficiency._set_leq",
-        lambda A, B, spec, strict, tau:
-        _tol_set_leq(A, B, spec.family.value, strict, spec.lam, tau))
-    monkeypatch.setattr(
-        "maro.efficiency._lmin",
-        lambda inst, x, u, lam, tol:
-        min(dot(lam, p) for p in tol_front(inst.points(x, u), "min", tol.tau)))
-    monkeypatch.setattr(
-        "maro.efficiency._min_leq",
-        lambda a, b, strict, tau: (_tol_lt if strict else _tol_leq)(a, b, tau))
-    for module in ("scalarize", "images"):
-        monkeypatch.setattr(f"maro.{module}._ws_minima", _ref_ws_minima)
+    for module in ("pareto", "efficiency", "scalarize"):
+        monkeypatch.setattr(f"maro.{module}._scenario_table", _ref_table)
+    monkeypatch.setattr("maro.efficiency._set_leq", _ref_set_leq)
     monkeypatch.setattr("maro.scalarize._eps_minima", _ref_eps_minima)
-    monkeypatch.setattr("maro.scalarize._fronts",
-                        lambda inst, x: tuple(inst.points(x, u) for u in inst.scenarios))
 
 
 @pytest.mark.parametrize("tau,jitter", [(1e-9, 0.0), (1e-9, 0.25), (0.0, 0.0), (0.0, 0.25)])
