@@ -17,8 +17,8 @@ import importlib
 
 # public names by defining module
 _NAMES = {
-    "efficiency": ("Kind", "SmaroResult", "Strictness", "Verdict", "Witness",
-                   "maro_efficient", "mro_efficient", "smaro_set"),
+    "efficiency": ("Kind", "SmaroResult", "Verdict", "Witness", "maro_efficient",
+                   "mro_efficient", "smaro_set"),
     "fixtures": ("FIXTURE_NAMES", "fixture", "fixture_meta"),
     "images": ("EpsGridImage", "EpsImagePoint", "WeightGrid", "compare_concepts",
                "image_eps", "image_eps_grid", "image_pb", "image_ws", "image_ws_grid",
@@ -26,8 +26,8 @@ _NAMES = {
     "instances": ("INF", "DEFAULT_TOL", "Instance", "InstanceError", "Tolerance",
                   "Vec", "dump_instance", "load_instance", "make_instance"),
     "pareto": ("FrontSet", "Orientation", "ideal", "inner_efficient", "nondominated"),
-    "relations": ("SetRelFamily", "SetRelSpec", "VecRel", "Weight", "parse_relation",
-                  "set_cmp", "vec_cmp"),
+    "relations": ("SetRelFamily", "SetRelSpec", "Strictness", "VecRel", "Weight",
+                  "parse_relation", "set_cmp", "vec_cmp"),
     "scalarize": ("GenBound", "Selection", "check_eps_bound", "check_ws_bound",
                   "eps_efficient_set", "f_eps_j", "f_lambda", "f_pb", "pb_efficient_set",
                   "pb_trivial_bounds", "ws_efficient_set"),

@@ -16,8 +16,10 @@ import json
 import math
 import sys
 
-from .fixtures import FIXTURE_META, FIXTURE_NAMES, fixture
-from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, dump_instance, load_instance
+from .fixtures import FIXTURE_NAMES, fixture, fixture_meta
+from .instances import (
+    DEFAULT_TOL, Instance, InstanceError, Tolerance, _fmt, dump_instance, load_instance
+)
 
 
 class UsageError(Exception):
@@ -132,13 +134,13 @@ def _cmd_fixtures(args) -> int:
     if args.dump:
         sys.stdout.write(dump_instance(fixture(args.dump)))
         return 0
-    _emit_json({"fixtures": {name: FIXTURE_META[name] for name in FIXTURE_NAMES}})
+    _emit_json({"fixtures": {name: fixture_meta(name) for name in FIXTURE_NAMES}})
     return 0
 
 
 def _cmd_efficiency(args) -> int:
-    from .efficiency import Kind, Strictness, maro_efficient, mro_efficient
-    from .relations import parse_relation
+    from .efficiency import Kind, maro_efficient, mro_efficient
+    from .relations import Strictness, parse_relation
 
     inst, tol = _load(args)
     strictness = Strictness(args.strictness)
@@ -175,7 +177,7 @@ def _cmd_efficiency(args) -> int:
 
 
 def _cmd_solve_ws(args) -> int:
-    from .efficiency import Strictness
+    from .relations import Strictness
     from .scalarize import ws_efficient_set
 
     inst, tol = _load(args)
@@ -194,7 +196,7 @@ def _cmd_solve_ws(args) -> int:
 
 
 def _cmd_solve_eps(args) -> int:
-    from .efficiency import Strictness
+    from .relations import Strictness
     from .scalarize import eps_efficient_set
 
     inst, tol = _load(args)
@@ -215,7 +217,7 @@ def _cmd_solve_eps(args) -> int:
 
 
 def _cmd_solve_pb(args) -> int:
-    from .efficiency import Strictness
+    from .relations import Strictness
     from .scalarize import f_pb, pb_efficient_set
 
     inst, tol = _load(args)
@@ -231,8 +233,7 @@ def _cmd_solve_pb(args) -> int:
 def _points_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
-                              for c in row))
+        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 

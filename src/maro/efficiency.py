@@ -30,7 +30,7 @@ from enum import Enum
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
 from .pareto import FrontSet, Orientation, _scenario_table, nondominated
-from .relations import SetRelFamily, SetRelSpec, VecRel, _set_leq, _vec_eq, vec_cmp
+from .relations import _VEC_REL, SetRelSpec, Strictness, _set_leq, _vec_eq, vec_cmp
 
 
 class Kind(Enum):
@@ -42,14 +42,6 @@ class Kind(Enum):
     # members are singletons compared by identity; Enum's own __hash__ is a
     # Python-level call on every memo-key lookup, object's is not
     __hash__ = object.__hash__
-
-
-class Strictness(Enum):
-    STRICT = "strict"
-    PLAIN = "plain"
-    WEAK = "weak"
-
-    __hash__ = object.__hash__  # as in Kind
 
 
 @dataclass(frozen=True)
@@ -73,11 +65,6 @@ class Verdict:
 
 
 _EFFICIENT = Verdict(True, None)
-
-
-def _check_decision(inst: Instance, x: str):
-    if x not in inst.decisions:
-        raise InstanceError(f"unknown decision {x!r}")
 
 
 def _decide(inst: Instance, x: str, kind: Kind, dominates, dominates_all) -> Verdict:
@@ -121,7 +108,6 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
     hit = inst._cache.get(key)
     if hit is not None:
         return hit
-    _check_decision(inst, x)
     if kind is Kind.POINT_BASED:
         raise ValueError("point-based efficiency is a vector notion; "
                          "see mro_efficient or pb_efficient_set")
@@ -129,12 +115,11 @@ def maro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
         raise ValueError("three-stage notions come in strict/weak variants only")
     if kind is Kind.MULTI_SCENARIO and strictness is not Strictness.STRICT:
         raise ValueError("weak multi-scenario efficiency is undefined")
-    if family is SetRelFamily.LAMBDA_MIN and len(lam) != inst.n:
-        raise ValueError(f"weight vector has length {len(lam)}, points have {inst.n}")
     strict = strictness is Strictness.WEAK
 
-    # table entries are sorted finite fronts, or minima the table checked for
-    # NaN under the weights checked above, so the kernel skips set_cmp's checks
+    # the table checks the decision name and the weight length; its entries
+    # are sorted finite fronts, or minima it checked for NaN, so the kernel
+    # skips set_cmp's checks
     mine = _scenario_table(inst, x, lam, tol)
 
     def dominates(xp: str, i: int) -> bool:
@@ -170,13 +155,6 @@ def smaro_set(inst: Instance, tol: Tolerance = DEFAULT_TOL) -> SmaroResult:
     return SmaroResult(survivors, outer)
 
 
-_VEC_REL = {
-    Strictness.STRICT: VecRel.LEQQ,
-    Strictness.PLAIN: VecRel.LEQ,
-    Strictness.WEAK: VecRel.LT,
-}
-
-
 def _singleton_values(inst: Instance) -> dict[tuple[str, str], tuple[float, ...]]:
     for (x, u), pts in inst.recourse.items():
         if len(pts) != 1:
@@ -196,7 +174,9 @@ def mro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
     also not equal in some.  Point-based efficiency applies it to the
     per-objective worst cases over scenarios.
     """
-    _check_decision(inst, x)
+    us = inst.scenarios
+    # Instance.points checks the decision name, before the singleton rule
+    own = [inst.points(x, u)[0] for u in us]
     vals = _singleton_values(inst)
     if kind is Kind.MULTI_SCENARIO and strictness is Strictness.WEAK:
         raise ValueError("weak multi-scenario efficiency is undefined")
@@ -204,11 +184,10 @@ def mro_efficient(inst: Instance, x: str, kind: Kind, strictness: Strictness,
 
     def outcome(d: str) -> tuple[float, ...]:
         if kind is Kind.POINT_BASED:
-            return tuple(max(vals[(d, u)][i] for u in inst.scenarios) for i in range(inst.n))
-        return tuple(c for u in inst.scenarios for c in vals[(d, u)])
+            return tuple(max(vals[(d, u)][i] for u in us) for i in range(inst.n))
+        return tuple(c for u in us for c in vals[(d, u)])
 
     mine = outcome(x)
-    us = inst.scenarios
     return _decide(inst, x, kind,
-                   lambda xp, i: vec_cmp(vals[(xp, us[i])], vals[(x, us[i])], rel, tol),
+                   lambda xp, i: vec_cmp(vals[(xp, us[i])], own[i], rel, tol),
                    lambda xp: vec_cmp(outcome(xp), mine, rel, tol))

@@ -128,13 +128,7 @@ _BUILDERS = {
 # is constraint efficient for (eps, j) but not weighted-sum efficient for
 # lambda; for FIG6R it is the other way around.
 FIXTURE_META: dict[str, dict] = {
-    "FIG2L": {"sampled": False},
-    "FIG2R": {"sampled": False},
-    "FIG3S": {"sampled": True},
-    "FIG4": {"sampled": False},
-    "FIG5": {"sampled": True},
     "FIG6L": {
-        "sampled": True,
         "separation": {
             "lambda": (0.5, 0.5),
             "eps": (0.0, 6.0),
@@ -145,7 +139,6 @@ FIXTURE_META: dict[str, dict] = {
         },
     },
     "FIG6R": {
-        "sampled": True,
         "separation": {
             "lambda": (0.3, 0.7),
             "eps": (0.0, 6.0),
@@ -172,8 +165,6 @@ def fixture(name: str) -> Instance:
 
 
 def fixture_meta(name: str) -> dict:
-    if name not in FIXTURE_META:
-        raise InstanceError(
-            f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
-        )
-    return FIXTURE_META[name]
+    """Whether the built-in instance is sampled, and its separation witness
+    if it has one."""
+    return {"sampled": fixture(name).sampled, **FIXTURE_META.get(name, {})}

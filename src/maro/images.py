@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .efficiency import Strictness
 from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec
-from .relations import VecRel, Weight, dot, vec_cmp
+from .relations import Strictness, VecRel, Weight, dot, vec_cmp
 from .scalarize import (
     GenBound,
     _ws_minima,
@@ -154,16 +153,21 @@ class GapRecord:
     distance: float
 
 
-def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL,
-                  frac: float = 0.25, tie_frac: float = 0.005) -> tuple[GapRecord, ...]:
+# fractions of the grid image diameter: the loosened worst-case tie and the
+# least gap ws_image_gaps reports
+_TIE_FRAC, _GAP_FRAC = 0.005, 0.25
+
+
+def ws_image_gaps(inst: Instance, grid: WeightGrid,
+                  tol: Tolerance = DEFAULT_TOL) -> tuple[GapRecord, ...]:
     """Heuristic surrogate for disconnected single-weight images.
 
     On a sampled front an exact tie between worst-case scenarios almost
     never happens, so per-weight images degenerate to one cluster.  This
-    detector therefore treats scenarios within ``tie_frac`` times the grid
+    detector therefore treats scenarios within ``_TIE_FRAC`` times the grid
     image diameter of the worst case as worst-case attainers, and flags a
     weight vector when two lexicographically adjacent points of the
-    loosened image are further apart than ``frac`` times that diameter
+    loosened image are further apart than ``_GAP_FRAC`` times that diameter
     (adjacency means no third image point lies between them, which for
     2-D fronts matches the visual gap).  Detection and reporting only;
     nothing downstream asserts on it.
@@ -175,7 +179,7 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
     diameter = max(
         math.dist(p, q) for i, p in enumerate(cloud) for q in cloud[i + 1:]
     )
-    tie = tie_frac * diameter
+    tie = _TIE_FRAC * diameter
     gaps = []
     for w in grid.weights:
         sel = ws_efficient_set(inst, w, Strictness.PLAIN, tol)
@@ -190,7 +194,7 @@ def ws_image_gaps(inst: Instance, grid: WeightGrid, tol: Tolerance = DEFAULT_TOL
         ordered = sorted(pts)
         for a, b in zip(ordered, ordered[1:]):
             d = math.dist(a, b)
-            if d > frac * diameter:
+            if d > _GAP_FRAC * diameter:
                 gaps.append(GapRecord(w.values, a, b, d))
     return tuple(gaps)
 

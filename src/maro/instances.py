@@ -162,7 +162,8 @@ def make_instance(
     recourse,
     sampled: bool = False,
 ) -> Instance:
-    """Normalize raw containers (lists, ints) into a validated Instance.
+    """Normalize raw containers (lists, int coordinates) into a validated
+    Instance; ``n`` is passed through, for :class:`Instance` to check.
 
     ``recourse`` may be keyed by ``(decision, scenario)`` tuples or nested
     ``{decision: {scenario: [...]}}`` dicts.
@@ -176,7 +177,7 @@ def make_instance(
         flat[key] = tuple(tuple(float(c) for c in p) for p in pts)
     return Instance(
         name=str(name),
-        n=int(n),
+        n=n,
         decisions=tuple(str(d) for d in decisions),
         scenarios=tuple(str(u) for u in scenarios),
         recourse=flat,

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .instances import DEFAULT_TOL, Instance, Tolerance, Vec
-from .relations import _refuse_nan_sum, weighted_min
+from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, Vec
+from .relations import _refuse_nan, _refuse_nan_sum, weighted_min
 
 
 class Orientation(Enum):
@@ -63,7 +63,9 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     duplicates of the first.  The unpruned pairwise filter survives only as
     the test oracle ``tol_front``.
 
-    This function sorts and checks its input, then hands it to the core
+    A NaN coordinate would make the front depend on the input order, so it
+    raises ``ValueError``, as in :func:`~maro.relations.set_cmp`.  This
+    function sorts and checks its input, then hands it to the core
     :func:`_sorted_front`, which :func:`inner_efficient` calls directly.
     """
     pts = sorted(tuple(p) for p in points)
@@ -71,6 +73,8 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
         raise ValueError("nondominated() requires a non-empty point set")
     n = _common_length(pts)
     finite = n == 2 and all(map(math.isfinite, chain.from_iterable(pts)))
+    if not finite:
+        _refuse_nan(pts)
     return _sorted_front(pts, n, finite, orientation, tol.tau)
 
 
@@ -214,7 +218,8 @@ def _scenario_table(inst: Instance, x: str, lam: Vec | None, tol: Tolerance) -> 
     """One entry per scenario of ``x``, in document order: the tau-front of
     its recourse image or, with weights ``lam`` (else None), the least
     weighted sum over it, refused once if NaN.  At tau = 0 the weighted-sum
-    concept and the lambda-min verdicts share each entry."""
+    concept and the lambda-min verdicts share each entry.  This is the one
+    check of a weight vector's length against an instance."""
     key = ("table", x, lam, tol.tau)
     hit = inst._cache.get(key)
     if hit is None:
@@ -222,6 +227,8 @@ def _scenario_table(inst: Instance, x: str, lam: Vec | None, tol: Tolerance) -> 
             hit = tuple(inner_efficient(inst, x, u, tol).points for u in inst.scenarios)
         else:
             fronts = _scenario_table(inst, x, None, tol)
+            if len(lam) != inst.n:
+                raise InstanceError(f"weight vector has length {len(lam)}, points have {inst.n}")
             # instance points are finite, so a sum is NaN only if a product
             # overflows, which takes a weight above 1
             if max(lam) > 1.0:

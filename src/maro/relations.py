@@ -1,8 +1,9 @@
 """Order relations on objective vectors and on finite sets of them.
 
 Three componentwise vector relations (``<=`` everywhere, ``<=`` everywhere
-and not equal, ``<`` everywhere) and three families of set relations built
-on top of them:
+and not equal, ``<`` everywhere), which :class:`Strictness` selects for the
+strict, plain and weak variants of a vector notion, and three families of
+set relations built on top of them:
 
 * upper type: every point of A lies below some point of B,
 * lower type: every point of B lies above some point of A,
@@ -32,14 +33,29 @@ class VecRel(Enum):
     LT = "lt"      # a_i < b_i for all i
 
 
+class Strictness(Enum):
+    STRICT = "strict"
+    PLAIN = "plain"
+    WEAK = "weak"
+
+    # members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level call on every memo-key lookup, object's is not
+    __hash__ = object.__hash__
+
+
+_VEC_REL = {
+    Strictness.STRICT: VecRel.LEQQ,
+    Strictness.PLAIN: VecRel.LEQ,
+    Strictness.WEAK: VecRel.LT,
+}
+
+
 class SetRelFamily(Enum):
     UPPER = "u"
     LOWER = "l"
     LAMBDA_MIN = "lmin"
 
-    # members are singletons compared by identity; Enum's own __hash__ is a
-    # Python-level call on every memo-key lookup, object's is not
-    __hash__ = object.__hash__
+    __hash__ = object.__hash__  # as in Strictness
 
 
 # for the kernel: on Python 3.11 a member read off its class costs more than
@@ -123,6 +139,14 @@ def weighted_min(points, lam: Vec) -> float:
         l0, l1 = lam
         return min([0.0 + l0 * p0 + l1 * p1 for p0, p1 in points])
     return min([dot(lam, p) for p in points])
+
+
+def _refuse_nan(points):
+    """Refuse with ``ValueError``, naming the point, a NaN coordinate: no
+    order relation holds for it, so an answer would depend on the point order."""
+    for p in points:
+        if any(map(math.isnan, p)):
+            raise ValueError(f"point {p} has a NaN coordinate")
 
 
 def _refuse_nan_sum(points, lam: Vec, where: str = ""):
@@ -242,9 +266,7 @@ def set_cmp(A, B, spec: SetRelSpec, tol: Tolerance = DEFAULT_TOL,
     dims = {len(p) for p in A} | {len(p) for p in B}
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch across sets: {sorted(dims)}")
-    for p in A + B:
-        if any(map(math.isnan, p)):
-            raise ValueError(f"point {p} has a NaN coordinate")
+    _refuse_nan(A + B)
     if spec.family is SetRelFamily.LAMBDA_MIN:
         if len(spec.lam) not in dims:
             raise ValueError(f"weight vector has length {len(spec.lam)}, points have {dims.pop()}")

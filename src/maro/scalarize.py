@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .efficiency import _VEC_REL, Strictness
 from .instances import DEFAULT_TOL, INF, Instance, InstanceError, Tolerance, Vec
 from .pareto import Orientation, _scenario_table, ideal
-from .relations import VecRel, Weight, vec_cmp
+from .relations import _VEC_REL, Strictness, VecRel, Weight, vec_cmp
 
 _EXACT = Tolerance(0.0)
 
@@ -87,8 +86,6 @@ class Selection:
 
 def _ws_minima(inst: Instance, x: str, lam: Weight) -> tuple[float, ...]:
     """Best weighted sum over recourse, per scenario in document order."""
-    if len(lam.values) != inst.n:
-        raise InstanceError(f"weight length {len(lam.values)} != objective count {inst.n}")
     return _scenario_table(inst, x, lam.values, _EXACT)
 
 

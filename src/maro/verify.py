@@ -12,17 +12,11 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 
-from .efficiency import (
-    Kind,
-    Strictness,
-    Verdict,
-    maro_efficient,
-    mro_efficient,
-)
+from .efficiency import Kind, Verdict, maro_efficient, mro_efficient
 from .images import _dominated, image_eps_grid, image_pb, simplex_grid
-from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, make_instance
+from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, _fmt, make_instance
 from .pareto import Orientation, inner_efficient, nondominated
-from .relations import SetRelFamily, SetRelSpec, VecRel, Weight, _vec_eq, set_cmp
+from .relations import SetRelFamily, SetRelSpec, Strictness, VecRel, Weight, _vec_eq, set_cmp
 from .scalarize import (
     GenBound,
     check_eps_bound,
@@ -132,7 +126,7 @@ class CheckReport:
 
 
 def _fmt_vec(v) -> str:
-    return "(" + ", ".join(f"{c:.17g}" for c in v) + ")"
+    return "(" + ", ".join(map(_fmt, v)) + ")"
 
 
 def single_scenario_efficient(inst: Instance, x: str, spec: SetRelSpec, strict: bool,
@@ -230,7 +224,7 @@ def _thm_ws_implies_ms(ctx: _Context, rep: CheckReport):
             v = maro_efficient(inst, x, Kind.MULTI_SCENARIO, Strictness.STRICT, spec, tol)
             if not v.efficient:
                 rep.fail(inst, f"x={x} strictly ws-efficient for lam={_fmt_vec(lam.values)} "
-                               f"(value {g:.17g}) but multi-scenario dominated by "
+                               f"(value {_fmt(g)}) but multi-scenario dominated by "
                                f"{v.witness.xprime}")
 
 
@@ -254,7 +248,7 @@ def _thm_eps_switch(ctx: _Context, rep: CheckReport):
                 rep.fail(
                     inst,
                     f"x={x} strict for eps={_fmt_vec(gb.eps)} j={gb.j} "
-                    f"(guarantee {g:.17g}) but not strict for "
+                    f"(guarantee {_fmt(g)}) but not strict for "
                     f"eps'={_fmt_vec(eps2)} j={j2}; got {sel2.decisions}"
                 )
 
@@ -317,7 +311,7 @@ def _ws_bound(ctx: _Context, rep: CheckReport):
         for x, g in ws_efficient_set(inst, lam, Strictness.PLAIN, tol).guarantees.items():
             rep.cases += 1
             if not check_ws_bound(inst, x, lam, g, tol):
-                rep.fail(inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {g:.17g}")
+                rep.fail(inst, f"x={x} lam={_fmt_vec(lam.values)} guarantee {_fmt(g)}")
 
 
 @_check("remark_eps_bound", "gb")
@@ -329,7 +323,7 @@ def _eps_bound(ctx: _Context, rep: CheckReport):
             continue
         rep.cases += 1
         if not check_eps_bound(inst, x, gb, g, tol):
-            rep.fail(inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {g:.17g}")
+            rep.fail(inst, f"x={x} eps={_fmt_vec(gb.eps)} j={gb.j} guarantee {_fmt(g)}")
 
 
 @_check("remark_pb_sandwich")
@@ -415,7 +409,7 @@ def _unit_weight_reduces_to_pb(ctx: _Context, rep: CheckReport):
             value = f_lambda(inst, x, e)
             if value != pb[i]:
                 rep.fail(inst, f"x={x} objective {i + 1}: unit-weight value "
-                               f"{value:.17g} != {pb[i]:.17g}")
+                               f"{_fmt(value)} != {_fmt(pb[i])}")
 
 
 @_check("eps_value_monotone", "gb")

@@ -623,6 +623,14 @@ def test_plot_draws_the_points_of_image(capsys, what, flags, connect):
      "--j does not apply to the ws image"),
     (("plot", *_FIG2L, "--what", "eps", "--eps", "_,7", "--j", "1", "--lambda", "0.5,0.5"),
      "--lambda does not apply to the eps image"),
+    # one owner per input rule: the weight length and the decision name
+    (("solve-ws", *_FIG2L, "--lambda", "0.5,0.25,0.25"),
+     "weight vector has length 3, points have 2"),
+    (("image", "ws", *_FIG2L, "--lambda", "0.5,0.25,0.25"),
+     "weight vector has length 3, points have 2"),
+    (("compare", *_FIG2L, "--lambda", "0.5,0.25,0.25", "--eps", "_,7", "--j", "1"),
+     "weight vector has length 3, points have 2"),
+    (("efficiency", *_FIG2L, "--mro", "--x", "x9", "--kind", "flimsy"), "unknown decision 'x9'"),
 ])
 def test_usage_errors_exit_2_with_one_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"maro: {message}\n")
@@ -719,8 +727,8 @@ def test_tolerance_flag(capsys):
 
 # the package surface, by defining module
 SURFACE = {
-    "efficiency": ("Kind", "SmaroResult", "Strictness", "Verdict", "Witness",
-                   "maro_efficient", "mro_efficient", "smaro_set"),
+    "efficiency": ("Kind", "SmaroResult", "Verdict", "Witness", "maro_efficient",
+                   "mro_efficient", "smaro_set"),
     "fixtures": ("FIXTURE_NAMES", "fixture", "fixture_meta"),
     "images": ("EpsGridImage", "EpsImagePoint", "WeightGrid", "compare_concepts",
                "image_eps", "image_eps_grid", "image_pb", "image_ws", "image_ws_grid",
@@ -728,8 +736,8 @@ SURFACE = {
     "instances": ("DEFAULT_TOL", "INF", "Instance", "InstanceError", "Tolerance",
                   "Vec", "dump_instance", "load_instance", "make_instance"),
     "pareto": ("FrontSet", "Orientation", "ideal", "inner_efficient", "nondominated"),
-    "relations": ("SetRelFamily", "SetRelSpec", "VecRel", "Weight", "parse_relation",
-                  "set_cmp", "vec_cmp"),
+    "relations": ("SetRelFamily", "SetRelSpec", "Strictness", "VecRel", "Weight",
+                  "parse_relation", "set_cmp", "vec_cmp"),
     "scalarize": ("GenBound", "Selection", "check_eps_bound", "check_ws_bound",
                   "eps_efficient_set", "f_eps_j", "f_lambda", "f_pb", "pb_efficient_set",
                   "pb_trivial_bounds", "ws_efficient_set"),
@@ -794,6 +802,15 @@ def test_efficiency_loads_no_scalar_concepts():
 def test_concept_commands_do_not_load_the_harness(argv):
     loaded = _modules_after(argv)
     assert "maro.scalarize" in loaded and "maro.verify" not in loaded
+    # the concepts stand beside the efficiency notions, not on them
+    assert "maro.efficiency" not in loaded
+
+
+def test_scalar_concept_modules_load_no_efficiency_checkers():
+    loaded = _child("import json, sys, maro.scalarize, maro.images\n"
+                    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('maro'))))")
+    assert "maro.efficiency" not in json.loads(loaded)
+    assert maro.Strictness is maro.efficiency.Strictness is maro.relations.Strictness
 
 
 def test_package_surface_is_pinned():

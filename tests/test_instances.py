@@ -158,10 +158,11 @@ def test_fig3s_sampling_density():
 
 
 def test_unknown_fixture():
-    with pytest.raises(InstanceError, match="unknown fixture"):
+    with pytest.raises(InstanceError, match="unknown fixture") as built:
         fixture("FIG9")
-    with pytest.raises(InstanceError, match="unknown fixture"):
+    with pytest.raises(InstanceError, match="unknown fixture") as meta:
         fixture_meta("FIG9")
+    assert str(meta.value) == str(built.value)
 
 
 def test_fig6_meta_has_frozen_witnesses():
@@ -217,13 +218,18 @@ def test_instance_refuses_unexpected_recourse_keys():
     assert str(err.value) == "recourse: unexpected keys [('y', 'u')]"
 
 
-@pytest.mark.parametrize("n", [True, False])
+@pytest.mark.parametrize("n", [True, False, 1.9])
 def test_instance_refuses_a_boolean_objective_count(n):
     # bool is an int subclass; True would otherwise pass and be dumped as
-    # "n": True, which is not JSON
+    # "n": True, which is not JSON.  make_instance passes n through, so it
+    # refuses what Instance refuses rather than building n=1.
+    message = f"n: objective count must be a positive integer, got {n}"
     with pytest.raises(InstanceError) as err:
         Instance("a", n, ("x",), ("u",), {("x", "u"): ((1.0,),)})
-    assert str(err.value) == f"n: objective count must be a positive integer, got {n}"
+    assert str(err.value) == message
+    with pytest.raises(InstanceError) as err:
+        make_instance("t", n, ["x"], ["u"], {"x": {"u": [(1,)]}})
+    assert str(err.value) == message
 
 
 def test_recourse_is_read_only():

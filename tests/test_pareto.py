@@ -127,6 +127,19 @@ def test_mixed_lengths_rejected():
                 ideal(S, orientation)
 
 
+@pytest.mark.parametrize("orientation", list(Orientation))
+@pytest.mark.parametrize("points", [
+    [(math.nan, 0.0), (1.0, 1.0), (0.5, 2.0)],
+    [(1.0, 1.0), (0.5, 2.0), (math.nan, 0.0)],
+    [(1.0, 1.0, 1.0), (0.0, math.nan, 2.0)],
+])
+def test_nan_coordinate_is_refused_in_any_order(orientation, points):
+    # no order relation holds for NaN, so a front would keep or drop the
+    # point depending on the input order
+    with pytest.raises(ValueError, match=r"point \(.*nan.*\) has a NaN coordinate"):
+        nondominated(points, orientation)
+
+
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
 def test_infinite_coordinates(tau):
     S = [(INF, 0.0), (0.0, INF), (1.0, 1.0), (-INF, 5.0), (-INF, 5.0), (2.0, -INF)]
