@@ -77,11 +77,12 @@ class Instance:
     """A validated finite problem instance.
 
     ``recourse`` maps every ``(decision, scenario)`` pair to a non-empty
-    tuple of objective vectors of length ``n``; it is stored as a read-only
-    copy, with every ``-0.0`` coordinate read as ``0.0``.  Instances are
-    immutable after construction.  ``_cache``, excluded from equality, is
-    the one memo of derived values (fronts, scalar values, verdicts), keyed
-    by a tuple naming the value and every argument it depends on.
+    sequence of objective vectors of length ``n``; it is stored as a
+    read-only copy of tuples, with every ``-0.0`` coordinate read as ``0.0``.
+    Instances are immutable after construction.  ``_cache``, excluded from
+    equality, is the one memo of derived values (fronts, scalar values,
+    verdicts), keyed by a tuple naming the value and every argument it
+    depends on.
     """
 
     name: str
@@ -104,7 +105,9 @@ class Instance:
                 if d in seen:
                     raise InstanceError(f"{label}: duplicate identifier {d!r}")
                 seen.add(d)
-        signed_zero = set()
+        if not isinstance(self.sampled, bool):
+            raise InstanceError("sampled: must be a boolean")
+        rewrite = set()
         for x in self.decisions:
             for u in self.scenarios:
                 pts = recourse.get((x, u))
@@ -112,6 +115,8 @@ class Instance:
                     raise InstanceError(f"recourse.{x}.{u}: missing recourse set at ({x},{u})")
                 if len(pts) == 0:
                     raise InstanceError(f"recourse.{x}.{u}: empty recourse set at ({x},{u})")
+                if type(pts) is not tuple:
+                    rewrite.add((x, u))
                 for idx, p in enumerate(pts):
                     if len(p) != self.n:
                         raise InstanceError(
@@ -122,19 +127,20 @@ class Instance:
                             raise InstanceError(
                                 f"recourse.{x}.{u}[{idx}]: non-finite entry {c!r}"
                             )
-                    if 0.0 in p and any(math.copysign(1.0, c) < 0 for c in p if c == 0.0):
-                        signed_zero.add((x, u))
+                    if type(p) is not tuple or (
+                            0.0 in p and any(math.copysign(1.0, c) < 0 for c in p if c == 0.0)):
+                        rewrite.add((x, u))
         if len(recourse) != len(self.decisions) * len(self.scenarios):
             extra = set(recourse) - {
                 (x, u) for x in self.decisions for u in self.scenarios
             }
             raise InstanceError(f"recourse: unexpected keys {sorted(extra)}")
-        # -0.0 == 0.0 but prints differently; reading it as 0.0 keeps every
-        # value independent of the order of the points
-        for key in signed_zero:
-            recourse[key] = tuple(tuple(c + 0.0 for c in p) for p in recourse[key])
+        # -0.0 == 0.0 but prints differently; adding 0 reads it as 0.0 and
+        # keeps every other value, so no value depends on the point order.
         # _cache memoizes fronts, scalar values and verdicts, so the data
-        # behind them must not change after first use
+        # behind them must be tuples: hashable, and fixed after first use
+        for key in rewrite:
+            recourse[key] = tuple(tuple(c + 0 for c in p) for p in recourse[key])
         object.__setattr__(self, "recourse", MappingProxyType(recourse))
 
     def __reduce__(self):
@@ -163,7 +169,7 @@ def make_instance(
     sampled: bool = False,
 ) -> Instance:
     """Normalize raw containers (lists, int coordinates) into a validated
-    Instance; ``n`` is passed through, for :class:`Instance` to check.
+    Instance; ``n`` and ``sampled`` pass through, for :class:`Instance` to check.
 
     ``recourse`` may be keyed by ``(decision, scenario)`` tuples or nested
     ``{decision: {scenario: [...]}}`` dicts.
@@ -181,7 +187,7 @@ def make_instance(
         decisions=tuple(str(d) for d in decisions),
         scenarios=tuple(str(u) for u in scenarios),
         recourse=flat,
-        sampled=bool(sampled),
+        sampled=sampled,
     )
 
 

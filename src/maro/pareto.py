@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import neg
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, Vec
 from .relations import _refuse_nan, _refuse_nan_sum, weighted_min
@@ -34,32 +35,27 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
                  tol: Tolerance = DEFAULT_TOL) -> FrontSet:
     """Keep exactly the members no other member dominates; collapse duplicates.
 
-    Domination is the componentwise <=-and-not-equal relation (reversed for
-    MAX).  Duplicates under tolerance equality keep one representative (the
-    lexicographically smallest).
-
-    Under MIN, with d = q - p, q dominates p iff every ``d_i <= tau`` and some
-    ``d_i < -tau``.  Finite two-objective sets take an exact O(m log m)
-    kernel at every tau (:func:`_dominated2`); MAX runs it on the negated
-    points in reverse order, since ``p_i - q_i`` equals ``(-q_i) - (-p_i)``
-    bit for bit.  At tau = 0 under MIN a one-pass sweep is cheaper still
-    (Kung, Luccio & Preparata 1975): every dominator or duplicate of p sorts
-    before p, so p survives iff ``p[1]`` is smaller than that of the last
-    point kept.
+    With d = q - p, q MIN-dominates p iff every ``d_i <= tau`` and some
+    ``d_i < -tau``.  MAX dominance is MIN dominance of the negated points,
+    which sort in reverse order, at every objective count: ``(-q_i) - (-p_i)``
+    equals ``p_i - q_i`` bit for bit.  Finite two-objective sets take an
+    exact O(m log m) kernel at every tau (:func:`_dominated2`).  At tau = 0
+    under MIN a one-pass sweep is cheaper still (Kung, Luccio & Preparata
+    1975): every dominator or duplicate of p sorts before p, so p survives
+    iff ``p[1]`` is smaller than that of the last point kept.
 
     Every other input, including any with an infinite coordinate, scans a
     pruned candidate range.  After the lexicographic sort, q can dominate p
-    under MIN only if ``q[0] - p[0] <= tau or q[0] <= p[0]``.  Rounding is
-    monotone, so that test never turns from false to true along the sorted
-    first coordinates: the candidates form a prefix, and its end only moves
-    forward as p[0] grows.  The bound is tested with the very expression
-    the scan then checks, so it drops no candidate the check would accept.
-    Under MAX the test is ``p[0] - q[0] <= tau`` and the candidates form a
-    suffix whose start likewise only moves forward.  The scan inlines the
-    rule of :class:`Tolerance`: a difference with an infinite operand is
-    infinite and compares exactly, or NaN for equal infinities, which the
-    per-pair test reads as equal coordinates and the bound and duplicate
-    tests accept through their ``or``.  Points of length zero are all
+    only if ``q[0] - p[0] <= tau or q[0] <= p[0]``.  Rounding is monotone,
+    so the candidates form a prefix whose end only moves forward as p[0]
+    grows, and the bound drops no candidate the per-pair test, which uses
+    the same difference, would accept.  The scan inlines the rule of
+    :class:`Tolerance`: a difference with an infinite operand is infinite
+    and compares exactly, or NaN for equal infinities, which the per-pair
+    test reads as equal coordinates and the bound and duplicate tests accept
+    through their ``or``.  One pass then keeps each undominated point that
+    is not tau-equal to one kept before it, so a run of duplicates keeps its
+    lexicographically smallest member.  Points of length zero are all
     duplicates of the first.  The unpruned pairwise filter survives only as
     the test oracle ``tol_front``.
 
@@ -85,42 +81,19 @@ def _sorted_front(pts: list[Vec], n: int, finite: bool, orientation: Orientation
     when ``n == 2``."""
     if n == 0:
         return FrontSet(tuple(pts[:1]), orientation)
-    is_min = orientation is Orientation.MIN
-    if n == 2 and finite:
-        if tau == 0.0 and is_min:
+    if orientation is Orientation.MIN:
+        if n == 2 and finite and tau == 0.0:
             return _sweep_min_front2(pts)
-        return _front2(pts, orientation, tau)
-    m = len(pts)
-    # candidates for the current p are pts[lo:hi]
-    lo, hi = 0, (0 if is_min else m)
+        dominated = _dominated(pts, n, finite, tau)
+    else:
+        # MAX dominance is MIN dominance of the negated points, which sort
+        # in reverse order
+        dominated = _dominated([tuple(map(neg, p)) for p in reversed(pts)], n, finite, tau)
+        dominated.reverse()
     keep: list[Vec] = []
-    for p in pts:
-        p0 = p[0]
-        if is_min:
-            while hi < m and (pts[hi][0] - p0 <= tau or pts[hi][0] <= p0):
-                hi += 1
-        else:
-            while p0 - pts[lo][0] > tau:
-                lo += 1
-        for j in range(lo, hi):
-            q = pts[j]
-            # does q dominate p?  d = q_i - p_i (MIN) or p_i - q_i (MAX)
-            strict = False
-            for a, b in (zip(q, p) if is_min else zip(p, q)):
-                d = a - b
-                if d > tau:
-                    break
-                if abs(d) > tau:
-                    strict = True
-            else:
-                if strict:
-                    break
-        else:
-            for k in keep:
-                if all(abs(a - b) <= tau or a == b for a, b in zip(p, k)):
-                    break
-            else:
-                keep.append(p)
+    for p, dom in zip(pts, dominated):
+        if not dom and not _has_duplicate(keep, p, tau):
+            keep.append(p)
     return FrontSet(tuple(keep), orientation)
 
 
@@ -132,33 +105,46 @@ def _common_length(pts) -> int:
     return n
 
 
-def _front2(pts: list[Vec], orientation: Orientation, tau: float) -> FrontSet:
-    """The front of sorted, finite two-objective points at any tau."""
-    if orientation is Orientation.MIN:
-        dominated = _dominated2([p[0] for p in pts], [p[1] for p in pts], tau)
-    else:
-        # MAX dominance is MIN dominance of the negated points, which sort
-        # in reverse order
-        dominated = _dominated2([-p[0] for p in reversed(pts)],
-                                [-p[1] for p in reversed(pts)], tau)
-        dominated.reverse()
-    keep: list[Vec] = []
-    for p, dom in zip(pts, dominated):
-        if dom:
-            continue
-        p0, p1 = p
-        # kept points ascend in the first coordinate, so p0 - k0 >= 0 only
-        # grows along the scan back through them
-        duplicate = False
-        for k0, k1 in reversed(keep):
-            if p0 - k0 > tau:
-                break
-            if abs(p1 - k1) <= tau:
-                duplicate = True
-                break
-        if not duplicate:
-            keep.append(p)
-    return FrontSet(tuple(keep), orientation)
+def _has_duplicate(keep: list[Vec], p: Vec, tau: float) -> bool:
+    """Whether ``p`` is tau-equal to a kept point; these ascend in the first
+    coordinate, so ``p[0] - k[0] >= 0`` only grows as the scan goes back."""
+    p0 = p[0]
+    for k in reversed(keep):
+        if p0 - k[0] > tau:
+            return False
+        if all(abs(a - b) <= tau or a == b for a, b in zip(p, k)):
+            return True
+    return False
+
+
+def _dominated(pts: list[Vec], n: int, finite: bool, tau: float) -> list[bool]:
+    """Whether each sorted point is MIN-dominated within tau by another:
+    :func:`_dominated2` if two-objective and finite, else the pruned scan."""
+    if n == 2 and finite:
+        return _dominated2([p[0] for p in pts], [p[1] for p in pts], tau)
+    m = len(pts)
+    hi = 0  # candidates for the current p are pts[:hi]
+    out = []
+    for p in pts:
+        p0 = p[0]
+        while hi < m and (pts[hi][0] - p0 <= tau or pts[hi][0] <= p0):
+            hi += 1
+        for j in range(hi):
+            # does q = pts[j] dominate p?  d = q_i - p_i
+            strict = False
+            for a, b in zip(pts[j], p):
+                d = a - b
+                if d > tau:
+                    break
+                if abs(d) > tau:
+                    strict = True
+            else:
+                if strict:
+                    out.append(True)
+                    break
+        else:
+            out.append(False)
+    return out
 
 
 def _dominated2(xs: list[float], ys: list[float], tau: float) -> list[bool]:
@@ -209,7 +195,7 @@ def inner_efficient(inst: Instance, x: str, u: str,
     key = ("front", x, u, tol.tau)
     hit = inst._cache.get(key)
     if hit is None:
-        pts = sorted(map(tuple, inst.points(x, u)))
+        pts = sorted(inst.points(x, u))
         hit = inst._cache[key] = _sorted_front(pts, inst.n, True, Orientation.MIN, tol.tau)
     return hit
 
@@ -240,10 +226,12 @@ def _scenario_table(inst: Instance, x: str, lam: Vec | None, tol: Tolerance) -> 
 
 
 def ideal(points, orientation: Orientation = Orientation.MIN) -> Vec:
-    """Componentwise minimum (MIN) or maximum (MAX) over a non-empty set."""
+    """Componentwise minimum (MIN) or maximum (MAX) over a non-empty set;
+    a NaN coordinate raises ``ValueError``, as in :func:`nondominated`."""
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("ideal() requires a non-empty point set")
     n = _common_length(pts)
+    _refuse_nan(pts)
     agg = min if orientation is Orientation.MIN else max
     return tuple(agg(p[i] for p in pts) for i in range(n))

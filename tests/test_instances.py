@@ -13,9 +13,12 @@ from maro import (
     Instance,
     InstanceError,
     Tolerance,
+    Weight,
+    check_instance,
     dump_instance,
     fixture,
     fixture_meta,
+    image_ws,
     load_instance,
     make_instance,
 )
@@ -232,6 +235,17 @@ def test_instance_refuses_a_boolean_objective_count(n):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sampled", ["false", 1, None])
+def test_instance_refuses_a_non_boolean_sampled_flag(sampled):
+    # dump_instance would write "sampled": true for any truthy value, and
+    # bool("false") is True, so make_instance passes the flag through
+    for build in (lambda: Instance("a", 1, ("x",), ("u",), {("x", "u"): ((1.0,),)}, sampled),
+                  lambda: make_instance("t", 1, ["x"], ["u"], {"x": {"u": [(1,)]}}, sampled)):
+        with pytest.raises(InstanceError) as err:
+            build()
+        assert str(err.value) == "sampled: must be a boolean"
+
+
 def test_recourse_is_read_only():
     raw = {("x", "u"): ((1.0, 2.0),)}
     inst = Instance("ro", 2, ("x",), ("u",), raw)
@@ -243,6 +257,17 @@ def test_recourse_is_read_only():
     copy = dict(inst.recourse)
     assert copy == {("x", "u"): ((1.0, 2.0),)}
     assert Instance("ro", 2, ("x",), ("u",), copy) == inst
+    # list points are copied into tuples: hashable for the memoized values,
+    # and out of reach of the caller's lists
+    raw = {("x", "u"): [[1.0, 2.0]], ("y", "u"): [[2.0, 1.0]]}
+    inst = Instance("t", 2, ("x", "y"), ("u",), raw)
+    raw[("x", "u")][0][0] = -5.0
+    assert inst.points("x", "u") == ((1.0, 2.0),)
+    with pytest.raises(TypeError):
+        inst.recourse[("x", "u")][0][0] = -5.0
+    assert image_ws(inst, Weight((0.5, 0.5))) == ((1.0, 2.0), (2.0, 1.0))
+    assert not check_instance(inst, ["note_weak_flimsy_via_mco"])[
+        "note_weak_flimsy_via_mco"].violations
 
 
 def test_instance_pickles_and_copies():

@@ -135,9 +135,10 @@ def test_mixed_lengths_rejected():
 ])
 def test_nan_coordinate_is_refused_in_any_order(orientation, points):
     # no order relation holds for NaN, so a front would keep or drop the
-    # point depending on the input order
-    with pytest.raises(ValueError, match=r"point \(.*nan.*\) has a NaN coordinate"):
-        nondominated(points, orientation)
+    # point, and an ideal point take or skip the NaN, by the input order
+    for call in (nondominated, ideal):
+        with pytest.raises(ValueError, match=r"point \(.*nan.*\) has a NaN coordinate"):
+            call(points, orientation)
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
