@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance
-from .pareto import FrontSet, Orientation, _scenario_table, nondominated
-from .relations import _VEC_REL, SetRelSpec, Strictness, _set_leq, _vec_eq, vec_cmp
+from .pareto import FrontSet, Orientation, _contributors, _scenario_table, nondominated
+from .relations import _VEC_REL, SetRelSpec, Strictness, _set_leq, vec_cmp
 
 
 class Kind(Enum):
@@ -141,18 +141,11 @@ def smaro_set(inst: Instance, tol: Tolerance = DEFAULT_TOL) -> SmaroResult:
     the max-front of their union over scenarios, then the min-front of the
     union over decisions.  Returns the surviving points and every decision
     contributing at least one of them."""
-    mid: dict[str, FrontSet] = {}
-    pool: list = []
+    mid = {}
     for x in inst.decisions:
         union = {p for front in _scenario_table(inst, x, None, tol) for p in front}
-        mid[x] = nondominated(union, Orientation.MAX, tol)
-        pool.extend(mid[x].points)
-    outer = nondominated(set(pool), Orientation.MIN, tol)
-    survivors = tuple(
-        x for x in inst.decisions
-        if any(_vec_eq(p, q, tol) for p in mid[x].points for q in outer.points)
-    )
-    return SmaroResult(survivors, outer)
+        mid[x] = nondominated(union, Orientation.MAX, tol).points
+    return SmaroResult(*_contributors(mid, tol))
 
 
 def _singleton_values(inst: Instance) -> dict[tuple[str, str], tuple[float, ...]]:

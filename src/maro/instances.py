@@ -57,19 +57,22 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _below(a: Vec, b: Vec, strict: bool, tau: float) -> bool:
-    """:meth:`Tolerance.lt` (strict) or :meth:`Tolerance.leq` with slack
-    ``tau`` in every coordinate of ``a`` and ``b``, inlined for the
-    relation kernels."""
-    if strict:
-        for ai, bi in zip(a, b):
-            if not bi - ai > tau:
-                return False
-        return True
-    for ai, bi in zip(a, b):
-        if not (ai - bi <= tau or ai <= bi):
-            return False
-    return True
+def _coordinate_error(c) -> str | None:
+    """Why ``c`` is not a coordinate, or None if it is: the one coordinate
+    rule, which :class:`Instance` and :func:`make_instance` both apply.  A
+    coordinate is a finite real number that a float can hold, and not a
+    boolean; ``math.isfinite`` reads every real type (int, float, Fraction)
+    and refuses any other with ``TypeError``."""
+    try:
+        if math.isfinite(c) and type(c) is not bool:
+            return None
+    except TypeError:
+        return f"coordinate must be a real number, got {c!r}"
+    except OverflowError:  # an int, or a ratio, beyond the float range
+        return "coordinate too large for a float"
+    if type(c) is bool:
+        return f"coordinate must be a real number, not a boolean, got {c!r}"
+    return f"non-finite entry {c!r}"
 
 
 @dataclass(frozen=True)
@@ -110,23 +113,35 @@ class Instance:
         rewrite = set()
         for x in self.decisions:
             for u in self.scenarios:
+                path = f"recourse.{x}.{u}"
                 pts = recourse.get((x, u))
                 if pts is None:
-                    raise InstanceError(f"recourse.{x}.{u}: missing recourse set at ({x},{u})")
-                if len(pts) == 0:
-                    raise InstanceError(f"recourse.{x}.{u}: empty recourse set at ({x},{u})")
+                    raise InstanceError(f"{path}: missing recourse set at ({x},{u})")
+                try:
+                    size = len(pts)
+                except TypeError:
+                    raise InstanceError(f"{path}: recourse set must be a sequence of points, "
+                                        f"got {pts!r}") from None
+                if size == 0:
+                    raise InstanceError(f"{path}: empty recourse set at ({x},{u})")
                 if type(pts) is not tuple:
                     rewrite.add((x, u))
                 for idx, p in enumerate(pts):
-                    if len(p) != self.n:
+                    try:
+                        length = len(p)
+                    except TypeError:
+                        raise InstanceError(f"{path}[{idx}]: point must be a sequence of "
+                                            f"numbers, got {p!r}") from None
+                    if length != self.n:
                         raise InstanceError(
-                            f"recourse.{x}.{u}[{idx}]: expected {self.n} objectives, got {len(p)}"
+                            f"{path}[{idx}]: expected {self.n} objectives, got {length}"
                         )
                     for c in p:
-                        if not math.isfinite(c):
-                            raise InstanceError(
-                                f"recourse.{x}.{u}[{idx}]: non-finite entry {c!r}"
-                            )
+                        # a finite float is a coordinate; the rule judges the rest
+                        if type(c) is not float or not math.isfinite(c):
+                            why = _coordinate_error(c)
+                            if why is not None:
+                                raise InstanceError(f"{path}[{idx}]: {why}")
                     if type(p) is not tuple or (
                             0.0 in p and any(math.copysign(1.0, c) < 0 for c in p if c == 0.0)):
                         rewrite.add((x, u))
@@ -169,7 +184,9 @@ def make_instance(
     sampled: bool = False,
 ) -> Instance:
     """Normalize raw containers (lists, int coordinates) into a validated
-    Instance; ``n`` and ``sampled`` pass through, for :class:`Instance` to check.
+    Instance: each coordinate the coordinate rule accepts becomes a float,
+    and everything else, ``n`` and ``sampled`` included, passes through for
+    :class:`Instance` to refuse with its path.
 
     ``recourse`` may be keyed by ``(decision, scenario)`` tuples or nested
     ``{decision: {scenario: [...]}}`` dicts.
@@ -180,7 +197,11 @@ def make_instance(
     else:
         items = (((x, u), pts) for x, by_u in recourse.items() for u, pts in by_u.items())
     for key, pts in items:
-        flat[key] = tuple(tuple(float(c) for c in p) for p in pts)
+        try:
+            flat[key] = tuple(tuple(float(c) if _coordinate_error(c) is None else c for c in p)
+                              for p in pts)
+        except TypeError:  # a set or a point that is not a sequence
+            flat[key] = pts
     return Instance(
         name=str(name),
         n=n,

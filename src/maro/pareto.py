@@ -9,7 +9,7 @@ from itertools import chain
 from operator import neg
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, Vec
-from .relations import _refuse_nan, _refuse_nan_sum, weighted_min
+from .relations import _refuse_nan, _refuse_nan_sum, _vec_eq, weighted_min
 
 
 class Orientation(Enum):
@@ -198,6 +198,16 @@ def inner_efficient(inst: Instance, x: str, u: str,
         pts = sorted(inst.points(x, u))
         hit = inst._cache[key] = _sorted_front(pts, inst.n, True, Orientation.MIN, tol.tau)
     return hit
+
+
+def _contributors(points_of: dict, tol: Tolerance) -> tuple[tuple, FrontSet]:
+    """The MIN front of the points of every key pooled, and the keys, in
+    order, with a point tau-equal to a point of that front.  ``points_of``
+    maps each key to a non-empty sequence of points."""
+    front = nondominated({p for pts in points_of.values() for p in pts}, Orientation.MIN, tol)
+    keys = tuple(k for k, pts in points_of.items()
+                 if any(_vec_eq(p, q, tol) for p in pts for q in front.points))
+    return keys, front
 
 
 def _scenario_table(inst: Instance, x: str, lam: Vec | None, tol: Tolerance) -> tuple:

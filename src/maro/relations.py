@@ -12,9 +12,9 @@ set relations built on top of them:
 For finite sets the cone-containment definitions of the upper/lower
 relations reduce exactly to the pointwise exists/forall characterizations
 used here.  Every relation reads the inlined rule of the injected
-:class:`Tolerance` (``_below`` from :mod:`.instances` per vector).  The
-set relations are one kernel, ``_set_leq``, over sorted points (one merge
-pass for two objectives, a pairwise scan otherwise) or two weighted minima.
+:class:`Tolerance` (``_below`` per vector).  The set relations are one
+kernel, ``_set_leq``, over sorted points (one merge pass for two
+objectives, a pairwise scan otherwise) or two weighted minima.
 The rule compares infinite operands exactly without a finiteness branch.
 """
 
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .instances import DEFAULT_TOL, Tolerance, Vec, _below
+from .instances import DEFAULT_TOL, Tolerance, Vec
 
 
 class VecRel(Enum):
@@ -114,6 +114,21 @@ def dot(lam: Vec, p: Vec) -> float:
     for i in range(len(lam)):
         s += lam[i] * p[i]
     return s
+
+
+def _below(a: Vec, b: Vec, strict: bool, tau: float) -> bool:
+    """:meth:`Tolerance.lt` (strict) or :meth:`Tolerance.leq` with slack
+    ``tau`` in every coordinate of ``a`` and ``b``, inlined for the
+    relation kernels."""
+    if strict:
+        for ai, bi in zip(a, b):
+            if not bi - ai > tau:
+                return False
+        return True
+    for ai, bi in zip(a, b):
+        if not (ai - bi <= tau or ai <= bi):
+            return False
+    return True
 
 
 def _vec_eq(a: Vec, b: Vec, tol: Tolerance) -> bool:

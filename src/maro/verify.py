@@ -12,10 +12,10 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 
-from .efficiency import Kind, Verdict, maro_efficient, mro_efficient
+from .efficiency import Kind, maro_efficient, mro_efficient
 from .images import _dominated, image_eps_grid, image_pb, simplex_grid
-from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, _fmt, make_instance
-from .pareto import Orientation, inner_efficient, nondominated
+from .instances import DEFAULT_TOL, INF, Instance, Tolerance, Vec, _fmt
+from .pareto import _contributors, inner_efficient
 from .relations import SetRelFamily, SetRelSpec, Strictness, VecRel, Weight, _vec_eq, set_cmp
 from .scalarize import (
     GenBound,
@@ -40,8 +40,6 @@ class GenConfig:
     nx: int = 3
     nu: int = 2
     ny: int = 3
-    coord_low: int = 0
-    coord_high: int = 20
     jitter: float = 0.0
 
     def __post_init__(self):
@@ -50,7 +48,6 @@ class GenConfig:
             (2 <= self.nx <= 6, "nx must lie in 2..6"),
             (1 <= self.nu <= 4, "nu must lie in 1..4"),
             (1 <= self.ny <= 8, "ny must lie in 1..8"),
-            (self.coord_low <= self.coord_high, "empty coordinate range"),
             (0.0 <= self.jitter < 0.3, "jitter must lie in [0, 0.3)"),
         )
         for ok, msg in checks:
@@ -59,13 +56,14 @@ class GenConfig:
 
 
 def generate(cfg: GenConfig) -> Instance:
-    """Deterministic random instance for a config."""
+    """Deterministic random instance for a config, with integer coordinates
+    in [0, 20] plus the config's jitter."""
     rng = random.Random(cfg.seed)
     decisions = [f"x{i + 1}" for i in range(cfg.nx)]
     scenarios = [f"u{i + 1}" for i in range(cfg.nu)]
 
     def coord() -> float:
-        v = float(rng.randint(cfg.coord_low, cfg.coord_high))
+        v = float(rng.randint(0, 20))
         if cfg.jitter:
             v += rng.uniform(0.0, cfg.jitter)
         return v
@@ -79,7 +77,7 @@ def generate(cfg: GenConfig) -> Instance:
     }
     tag = "j" if cfg.jitter else "i"
     name = f"gen-{tag}-s{cfg.seed}-n{cfg.n}x{cfg.nx}u{cfg.nu}y{cfg.ny}"
-    return make_instance(name, cfg.n, decisions, scenarios, recourse)
+    return Instance(name, cfg.n, tuple(decisions), tuple(scenarios), recourse)
 
 
 @dataclass(frozen=True)
@@ -129,19 +127,6 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(map(_fmt, v)) + ")"
 
 
-def single_scenario_efficient(inst: Instance, x: str, spec: SetRelSpec, strict: bool,
-                              tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Direct reimplementation of the one-scenario set-optimization notion:
-    no competitor front relates below the front of ``x`` under the strict or
-    non-strict variant of ``spec``."""
-    (u,) = inst.scenarios
-    mine = inner_efficient(inst, x, u, tol).points
-    return not any(
-        set_cmp(inner_efficient(inst, xp, u, tol).points, mine, spec, tol, strict)
-        for xp in inst.decisions if xp != x
-    )
-
-
 def _family_specs(n: int) -> list[SetRelSpec]:
     uniform = tuple(1.0 / n for _ in range(n))
     return [
@@ -169,22 +154,15 @@ _IMPLICATIONS = (
 )
 
 
-def _replay(inst: Instance, x: str, verdict: Verdict, spec: SetRelSpec,
-            strictness: Strictness, tol: Tolerance) -> bool:
-    return all(
-        set_cmp(inner_efficient(inst, xp, u, tol).points,
-                inner_efficient(inst, x, u, tol).points, spec, tol,
-                strictness is Strictness.WEAK)
-        for u, xp in verdict.witness.scenario_map
-    )
-
-
 class _Context:
     """One instance and its battery parameters; the verdicts and scalar
-    values the checks share are memoized on the instance.  The independent
-    references (``mro_efficient``, ``single_scenario_efficient``, witness
-    replay and the front-reduced instance) read none of them, so the
-    coherence checks still compare two separate deciders."""
+    values the checks share are memoized on the instance.  The references
+    the coherence checks compare them with (``mro_efficient``, the one
+    reference relation :meth:`ref_leq` and the front-reduced instance)
+    compute no verdict or scalar value of that memo, but they do read
+    ``inner_efficient``'s memoized fronts, and ``set_cmp`` runs the
+    verdicts' own kernel ``relations._set_leq``: a defect there is shared,
+    and the README's blind spots list what the battery then misses."""
 
     def __init__(self, inst: Instance, tol: Tolerance, lams: list[Weight] = (),
                  gb: GenBound | None = None, eps_list: list[Vec] | None = None):
@@ -194,6 +172,18 @@ class _Context:
         self.gb = gb
         self.eps_list = eps_list
         self.specs = _family_specs(inst.n)
+        self._ref = {}
+
+    def ref_leq(self, xp: str, x: str, u: str, spec: SetRelSpec, strict: bool) -> bool:
+        """The reference relation: ``set_cmp`` of the fronts of ``xp`` and
+        ``x`` in scenario ``u`` under ``spec``'s strict or non-strict variant,
+        asked once per instance (here, so the instance memo gains no entry)."""
+        key = (xp, x, u, spec, strict)
+        if key not in self._ref:
+            inst, tol = self.inst, self.tol
+            self._ref[key] = set_cmp(inner_efficient(inst, xp, u, tol).points,
+                                     inner_efficient(inst, x, u, tol).points, spec, tol, strict)
+        return self._ref[key]
 
 
 # check id -> (function(context, report) filling that instance's report,
@@ -364,22 +354,27 @@ def _single_scenario_coherence(ctx: _Context, rep: CheckReport):
     inst, tol = ctx.inst, ctx.tol
     if len(inst.scenarios) != 1:
         return
+    (u,) = inst.scenarios
     for spec in ctx.specs:
         for x in inst.decisions:
             rep.cases += 1
+            # no competitor relates below, strictly for the weak notions
+            direct = {strict: not any(ctx.ref_leq(xp, x, u, spec, strict)
+                                      for xp in inst.decisions if xp != x)
+                      for strict in (False, True)}
             for kind, s in _CHAIN:
-                direct = single_scenario_efficient(inst, x, spec, s is Strictness.WEAK, tol)
                 got = maro_efficient(inst, x, kind, s, spec, tol).efficient
-                if got != direct:
+                want = direct[s is Strictness.WEAK]
+                if got != want:
                     rep.fail(inst, f"x={x} {kind.value}/{s.value} "
-                                   f"family={spec.family.value}: {got} != {direct}")
+                                   f"family={spec.family.value}: {got} != {want}")
 
 
 @_check("front_reduction_invariance", "lams", "gb")
 def _front_reduction_invariance(ctx: _Context, rep: CheckReport):
     """Replacing recourse images by their efficient fronts changes no value."""
     inst, tol, gb = ctx.inst, ctx.tol, ctx.gb
-    reduced = make_instance(
+    reduced = Instance(
         inst.name + "-fronts", inst.n, inst.decisions, inst.scenarios,
         {
             (x, u): inner_efficient(inst, x, u, tol).points
@@ -438,7 +433,8 @@ def _witness_replay(ctx: _Context, rep: CheckReport):
                 w = verdict.witness
                 if kind is Kind.FLIMSY and len(w.scenario_map) != len(inst.scenarios):
                     rep.fail(inst, f"flimsy witness for x={x} misses scenarios")
-                elif not _replay(inst, x, verdict, spec, s, tol):
+                elif not all(ctx.ref_leq(xp, x, u, spec, s is Strictness.WEAK)
+                             for u, xp in w.scenario_map):
                     rep.fail(inst, f"witness ({w.xprime}) for x={x} "
                                    f"kind={kind.value} does not replay")
 
@@ -449,13 +445,9 @@ def _weak_flimsy_via_mco(ctx: _Context, rep: CheckReport):
     to the pooled outcome front tend to be weakly flimsy for the strict
     lower relation."""
     inst, tol = ctx.inst, ctx.tol
-    pooled = {p for pts in inst.recourse.values() for p in pts}
-    front = set(nondominated(pooled, Orientation.MIN, tol).points)
-    for x in inst.decisions:
-        hits = any(_vec_eq(p, q, tol) for u in inst.scenarios
-                   for p in inst.points(x, u) for q in front)
-        if not hits:
-            continue
+    hits, _ = _contributors(
+        {x: [p for u in inst.scenarios for p in inst.points(x, u)] for x in inst.decisions}, tol)
+    for x in hits:
         rep.cases += 1
         wf = maro_efficient(inst, x, Kind.FLIMSY, Strictness.WEAK, ctx.specs[1], tol).efficient
         key = "agree" if wf else "disagree"

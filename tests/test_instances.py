@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -277,3 +278,29 @@ def test_instance_pickles_and_copies():
         assert other == inst and other.recourse is not inst.recourse
         with pytest.raises(TypeError):
             other.recourse[("x1", "u1")] = ((0.0, 0.0),)
+
+
+@pytest.mark.parametrize("pts,message", [
+    ([("a", "b")], "recourse.x.u[0]: coordinate must be a real number, got 'a'"),
+    ([(1.0, None)], "recourse.x.u[0]: coordinate must be a real number, got None"),
+    ([(1.0, 2.0), (True, 1.0)],
+     "recourse.x.u[1]: coordinate must be a real number, not a boolean, got True"),
+    ([(10**400, 1.0)], "recourse.x.u[0]: coordinate too large for a float"),
+    ([(1.0, 2.0), 5], "recourse.x.u[1]: point must be a sequence of numbers, got 5"),
+    (5, "recourse.x.u: recourse set must be a sequence of points, got 5"),
+], ids=["string", "none", "boolean", "huge-int", "scalar-point", "scalar-set"])
+def test_constructors_refuse_malformed_points_with_their_path(pts, message):
+    # make_instance converts only what the coordinate rule accepts, so
+    # both constructors report the same path and message
+    for build in (lambda: Instance("a", 2, ("x",), ("u",), {("x", "u"): pts}),
+                  lambda: make_instance("a", 2, ["x"], ["u"], {"x": {"u": pts}})):
+        with pytest.raises(InstanceError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_constructors_accept_fractions():
+    pts = ((Fraction(1, 3), 2),)
+    assert Instance("a", 2, ("x",), ("u",), {("x", "u"): pts}).points("x", "u") == pts
+    assert make_instance("a", 2, ["x"], ["u"], {"x": {"u": pts}}).points("x", "u") == (
+        (1 / 3, 2.0),)

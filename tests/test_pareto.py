@@ -16,10 +16,11 @@ from maro import (
     inner_efficient,
     nondominated,
 )
+from maro.pareto import _contributors
 from maro.relations import dot
 
 from conftest import instances, near_tie_instances, near_tie_sets, point_sets, weights
-from oracles import brute_max_front, brute_min_front, tol_front
+from oracles import _tol_eq, brute_max_front, brute_min_front, tol_front
 
 INF = math.inf
 
@@ -257,3 +258,29 @@ def test_zero_length_points_keep_one_representative(tau):
     for orientation in Orientation:
         assert nondominated([(), ()], orientation, Tolerance(tau)).points == ((),)
         assert tol_front([(), ()], orientation.value, tau) == [()]
+
+
+def _ref_contributors(points_of, tau):
+    """The quadratic definition: the MIN front of every key's points pooled,
+    and the keys, in order, with a point tau-equal to a point of it."""
+    front = tol_front({p for pts in points_of.values() for p in pts}, "min", tau)
+    keys = tuple(k for k, pts in points_of.items()
+                 if any(all(_tol_eq(a, b, tau) for a, b in zip(p, q))
+                        for p in pts for q in front))
+    return keys, front
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tau", [0.0, 1e-9])
+@pytest.mark.parametrize("near_ties", [False, True], ids=["point-sets", "near-ties"])
+@given(data=st.data())
+def test_contributors_match_the_quadratic_definition(near_ties, tau, n, data):
+    # one drawn set dealt out to up to four keys: near ties then often span
+    # keys, and the front keeps one representative of several tau-equal
+    # points, which every key holding one of them contributes
+    pts = data.draw(near_tie_sets(n, tau, 12) if near_ties else point_sets(n, 12))
+    points_of = {}
+    for p in pts:
+        points_of.setdefault(f"k{data.draw(st.integers(0, 3))}", []).append(p)
+    keys, front = _contributors(points_of, Tolerance(tau))
+    assert (keys, list(front.points)) == _ref_contributors(points_of, tau)

@@ -447,6 +447,34 @@ def test_battery_computes_each_verdict_once(monkeypatch):
         assert verdicts and len(verdicts) == len(set(verdicts))
 
 
+def test_battery_asks_each_reference_comparison_once(monkeypatch):
+    # single-scenario coherence and witness replay share one reference
+    # relation: per instance, each (x', x, u, family, lambda, strict) set
+    # comparison runs once
+    import maro.verify
+
+    owner, asked = {}, []
+    real_front, real_cmp = maro.verify.inner_efficient, maro.verify.set_cmp
+
+    def front(inst, x, u, tol):
+        got = real_front(inst, x, u, tol)
+        # the memo keeps each front alive, and this dict each instance, so
+        # no id is reused during the run
+        owner[id(got.points)] = inst, x, u
+        return got
+
+    def counted(A, B, spec, tol, strict):
+        (inst, xp, u), (same, x, v) = owner[id(A)], owner[id(B)]
+        assert inst is same and u == v
+        asked.append((id(inst), xp, x, u, spec.family, spec.lam, strict))
+        return real_cmp(A, B, spec, tol, strict)
+
+    monkeypatch.setattr("maro.verify.inner_efficient", front)
+    monkeypatch.setattr("maro.verify.set_cmp", counted)
+    assert run_battery(42, 60).passed
+    assert asked and len(asked) == len(set(asked))
+
+
 def test_compare_computes_each_selection_value_once(monkeypatch):
     # the selections, the three images, the bound checks and the point-based
     # values all read one memo: each scalar value, and each tuple of
@@ -510,7 +538,7 @@ def _ref_nondominated(points, orientation, tol):
 
 def _swap_in_references(monkeypatch):
     """Replace every fast kernel the battery reaches with its reference."""
-    for module in ("pareto", "efficiency", "verify"):
+    for module in ("pareto", "efficiency"):
         monkeypatch.setattr(f"maro.{module}.nondominated", _ref_nondominated)
     monkeypatch.setattr(
         "maro.pareto._sorted_front",
