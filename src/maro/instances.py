@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -55,6 +55,11 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# a set or a mapping iterates in an order its caller did not choose, so it
+# is neither a point, whose order names the objectives, nor a recourse set,
+# which is stored and written out in its caller's order
+_UNORDERED = (AbstractSet, Mapping)
 
 
 def _coordinate_error(c) -> str | None:
@@ -125,6 +130,9 @@ class Instance:
                 if size == 0:
                     raise InstanceError(f"{path}: empty recourse set at ({x},{u})")
                 if type(pts) is not tuple:
+                    if type(pts) is not list and isinstance(pts, _UNORDERED):
+                        raise InstanceError(f"{path}: recourse set must be an ordered sequence "
+                                            f"of points, got a {type(pts).__name__}")
                     rewrite.add((x, u))
                 for idx, p in enumerate(pts):
                     try:
@@ -142,8 +150,12 @@ class Instance:
                             why = _coordinate_error(c)
                             if why is not None:
                                 raise InstanceError(f"{path}[{idx}]: {why}")
-                    if type(p) is not tuple or (
-                            0.0 in p and any(math.copysign(1.0, c) < 0 for c in p if c == 0.0)):
+                    if type(p) is not tuple:
+                        if type(p) is not list and isinstance(p, _UNORDERED):
+                            raise InstanceError(f"{path}[{idx}]: point must be an ordered "
+                                                f"sequence of numbers, got a {type(p).__name__}")
+                        rewrite.add((x, u))
+                    elif 0.0 in p and any(math.copysign(1.0, c) < 0 for c in p if c == 0.0):
                         rewrite.add((x, u))
         if len(recourse) != len(self.decisions) * len(self.scenarios):
             extra = set(recourse) - {
@@ -185,7 +197,8 @@ def make_instance(
 ) -> Instance:
     """Normalize raw containers (lists, int coordinates) into a validated
     Instance: each coordinate the coordinate rule accepts becomes a float,
-    and everything else, ``n`` and ``sampled`` included, passes through for
+    and everything else, ``n``, ``sampled`` and any set or mapping given as
+    a recourse set or a point included, passes through for
     :class:`Instance` to refuse with its path.
 
     ``recourse`` may be keyed by ``(decision, scenario)`` tuples or nested
@@ -198,9 +211,11 @@ def make_instance(
         items = (((x, u), pts) for x, by_u in recourse.items() for u, pts in by_u.items())
     for key, pts in items:
         try:
-            flat[key] = tuple(tuple(float(c) if _coordinate_error(c) is None else c for c in p)
-                              for p in pts)
-        except TypeError:  # a set or a point that is not a sequence
+            flat[key] = pts if isinstance(pts, _UNORDERED) else tuple(
+                p if isinstance(p, _UNORDERED)
+                else tuple(float(c) if _coordinate_error(c) is None else c for c in p)
+                for p in pts)
+        except TypeError:  # a recourse set or a point that is not iterable
             flat[key] = pts
     return Instance(
         name=str(name),

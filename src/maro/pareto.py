@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import neg
 
 from .instances import DEFAULT_TOL, Instance, InstanceError, Tolerance, Vec
-from .relations import _refuse_nan, _refuse_nan_sum, _vec_eq, weighted_min
+from .relations import _refuse_nan, _refuse_nan_sum, weighted_min
 
 
 class Orientation(Enum):
@@ -39,10 +40,14 @@ def nondominated(points, orientation: Orientation = Orientation.MIN,
     ``d_i < -tau``.  MAX dominance is MIN dominance of the negated points,
     which sort in reverse order, at every objective count: ``(-q_i) - (-p_i)``
     equals ``p_i - q_i`` bit for bit.  Finite two-objective sets take an
-    exact O(m log m) kernel at every tau (:func:`_dominated2`).  At tau = 0
-    under MIN a one-pass sweep is cheaper still (Kung, Luccio & Preparata
-    1975): every dominator or duplicate of p sorts before p, so p survives
-    iff ``p[1]`` is smaller than that of the last point kept.
+    exact O(m log m) kernel at every tau (:func:`_undominated2`; Kung,
+    Luccio & Preparata 1975): a candidate pass drops every p that the
+    point holding the prefix minimum of the second coordinate dominates,
+    and each candidate left is decided at the ends of two prefixes of
+    possible dominators, found by bisection and by a forward pointer.  At
+    tau = 0 under MIN a one-pass sweep is cheaper still: every dominator or
+    duplicate of p sorts before p, so p survives iff ``p[1]`` is smaller
+    than that of the last point kept.
 
     Every other input, including any with an infinite coordinate, scans a
     pruned candidate range.  After the lexicographic sort, q can dominate p
@@ -84,15 +89,17 @@ def _sorted_front(pts: list[Vec], n: int, finite: bool, orientation: Orientation
     if orientation is Orientation.MIN:
         if n == 2 and finite and tau == 0.0:
             return _sweep_min_front2(pts)
-        dominated = _dominated(pts, n, finite, tau)
+        undominated = _undominated(pts, n, finite, tau)
     else:
         # MAX dominance is MIN dominance of the negated points, which sort
         # in reverse order
-        dominated = _dominated([tuple(map(neg, p)) for p in reversed(pts)], n, finite, tau)
-        dominated.reverse()
+        last = len(pts) - 1
+        undominated = [last - k for k in reversed(
+            _undominated([tuple(map(neg, p)) for p in reversed(pts)], n, finite, tau))]
     keep: list[Vec] = []
-    for p, dom in zip(pts, dominated):
-        if not dom and not _has_duplicate(keep, p, tau):
+    for k in undominated:
+        p = pts[k]
+        if not _has_duplicate(keep, p, tau):
             keep.append(p)
     return FrontSet(tuple(keep), orientation)
 
@@ -105,9 +112,10 @@ def _common_length(pts) -> int:
     return n
 
 
-def _has_duplicate(keep: list[Vec], p: Vec, tau: float) -> bool:
-    """Whether ``p`` is tau-equal to a kept point; these ascend in the first
-    coordinate, so ``p[0] - k[0] >= 0`` only grows as the scan goes back."""
+def _has_duplicate(keep, p: Vec, tau: float) -> bool:
+    """Whether ``p`` is tau-equal to a point of ``keep``; these ascend in the
+    first coordinate, so ``p[0] - k[0] >= 0`` only grows as the scan goes
+    back."""
     p0 = p[0]
     for k in reversed(keep):
         if p0 - k[0] > tau:
@@ -117,15 +125,16 @@ def _has_duplicate(keep: list[Vec], p: Vec, tau: float) -> bool:
     return False
 
 
-def _dominated(pts: list[Vec], n: int, finite: bool, tau: float) -> list[bool]:
-    """Whether each sorted point is MIN-dominated within tau by another:
-    :func:`_dominated2` if two-objective and finite, else the pruned scan."""
+def _undominated(pts: list[Vec], n: int, finite: bool, tau: float) -> list[int]:
+    """The ascending indices of the sorted points that no other MIN-dominates
+    within tau: :func:`_undominated2` if two-objective and finite, else the
+    pruned scan."""
     if n == 2 and finite:
-        return _dominated2([p[0] for p in pts], [p[1] for p in pts], tau)
+        return _undominated2(pts, tau)
     m = len(pts)
     hi = 0  # candidates for the current p are pts[:hi]
     out = []
-    for p in pts:
+    for k, p in enumerate(pts):
         p0 = p[0]
         while hi < m and (pts[hi][0] - p0 <= tau or pts[hi][0] <= p0):
             hi += 1
@@ -140,37 +149,63 @@ def _dominated(pts: list[Vec], n: int, finite: bool, tau: float) -> list[bool]:
                     strict = True
             else:
                 if strict:
-                    out.append(True)
                     break
         else:
-            out.append(False)
+            out.append(k)
     return out
 
 
-def _dominated2(xs: list[float], ys: list[float], tau: float) -> list[bool]:
-    """Whether each point (xs[k], ys[k]) is MIN-dominated within tau by
-    another; xs ascending, all finite.
+def _undominated2(pts: list[Vec], tau: float) -> list[int]:
+    """The ascending indices of the sorted, finite two-objective points that
+    no other MIN-dominates within tau.
 
     With d = q - p, q dominates p iff (A) ``d_0 < -tau`` and ``d_1 <= tau``,
     or (B) ``d_0 <= tau`` and ``d_1 < -tau``.  Float subtraction is
-    monotone, so the q meeting each case's first test are a prefix that only
-    grows as p advances, and some q in it meets the second test iff the
-    prefix's least q_1 does.  Both tests use the very expressions d_i.
+    monotone, so the q meeting each case's first test are a prefix of the
+    sorted points whose end only moves forward as p advances, and some q in
+    it meets the second test iff the prefix's least q_1, a prefix minimum
+    ``pm``, does.  Both tests use the very expressions d_i.
+
+    Pass 1 keeps as candidates only the p with ``not pm[k] - p_1 < -tau``:
+    for any other p, the point holding ``pm[k]`` sorts first, so its
+    ``d_0 <= 0 <= tau``, and it dominates p under (B).  Pass 2 decides the
+    candidates alone.  The end of (A)'s prefix, at or before p, is p itself
+    if the point before p meets (A)'s first test, stays put if the point at
+    the last candidate's end fails it, and is found by bisection between
+    the two otherwise.  The end of (B)'s prefix, past p, only moves forward.
+    So the worst case stays O(m log m).
     """
-    m = len(xs)
+    pm = []
+    candidates = []
+    best = math.inf
+    for k, (_, p1) in enumerate(pts):
+        if p1 < best:
+            best = p1
+        pm.append(best)
+        if not best - p1 < -tau:
+            candidates.append(k)
+    m = len(pts)
     a = b = 0  # ends of the prefixes of cases (A) and (B)
-    min_a = min_b = math.inf
     out = []
-    for p0, p1 in zip(xs, ys):
-        while a < m and xs[a] - p0 < -tau:
-            if ys[a] < min_a:
-                min_a = ys[a]
+    for k in candidates:
+        p0, p1 = pts[k]
+        if k and pts[k - 1][0] - p0 < -tau:
+            a = k
+        elif pts[a][0] - p0 < -tau:
             a += 1
-        while b < m and xs[b] - p0 <= tau:
-            if ys[b] < min_b:
-                min_b = ys[b]
+            hi = k - 1  # pts[k - 1] fails (A)'s first test
+            while a < hi:
+                mid = (a + hi) // 2
+                if pts[mid][0] - p0 < -tau:
+                    a = mid + 1
+                else:
+                    hi = mid
+        if b <= k:
+            b = k + 1
+        while b < m and pts[b][0] - p0 <= tau:
             b += 1
-        out.append(min_a - p1 <= tau or min_b - p1 < -tau)
+        if not ((a and pm[a - 1] - p1 <= tau) or pm[b - 1] - p1 < -tau):
+            out.append(k)
     return out
 
 
@@ -203,10 +238,26 @@ def inner_efficient(inst: Instance, x: str, u: str,
 def _contributors(points_of: dict, tol: Tolerance) -> tuple[tuple, FrontSet]:
     """The MIN front of the points of every key pooled, and the keys, in
     order, with a point tau-equal to a point of that front.  ``points_of``
-    maps each key to a non-empty sequence of points."""
+    maps each key to a non-empty sequence of instance points, which are
+    finite.
+
+    A front point q can be tau-equal to p only inside p's first-coordinate
+    window ``abs(q[0] - p[0]) <= tau``, the rule of :func:`_has_duplicate`.
+    The front ascends in its first coordinate and float subtraction is
+    monotone, so the window is a run of the front, found by bisection on
+    the very differences ``q[0] - p[0]``, and only its points are compared.
+    """
     front = nondominated({p for pts in points_of.values() for p in pts}, Orientation.MIN, tol)
-    keys = tuple(k for k, pts in points_of.items()
-                 if any(_vec_eq(p, q, tol) for p in pts for q in front.points))
+    tau = tol.tau
+    firsts = [q[0] for q in front.points]
+
+    def on_front(p):
+        p0 = p[0]
+        lo = bisect_left(firsts, -tau, key=lambda q0: q0 - p0)
+        hi = bisect_right(firsts, tau, lo, key=lambda q0: q0 - p0)
+        return _has_duplicate(front.points[lo:hi], p, tau)
+
+    keys = tuple(k for k, pts in points_of.items() if any(map(on_front, pts)))
     return keys, front
 
 

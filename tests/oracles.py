@@ -219,6 +219,17 @@ def tol_front(points, orientation, tau):
     return keep
 
 
+def tol_contributors(points_of, tau):
+    """The MIN front of every key's points pooled, and the keys, in order,
+    with a point tau-equal to a point of that front: the quadratic
+    definition, each point against the whole front."""
+    front = tol_front({p for pts in points_of.values() for p in pts}, "min", tau)
+    keys = tuple(k for k, pts in points_of.items()
+                 if any(all(_tol_eq(a, b, tau) for a, b in zip(p, q))
+                        for p in pts for q in front))
+    return keys, front
+
+
 def _tol_set_leq(A, B, family, strict, lam, tau):
     """Set relation A <= B under slack tau: per point with componentwise
     <= (< when strict) for the upper/lower families, on weighted minima for

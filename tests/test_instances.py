@@ -299,6 +299,23 @@ def test_constructors_refuse_malformed_points_with_their_path(pts, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("pts,message", [
+    ([{7.0, 5.0}], "recourse.x.u[0]: point must be an ordered sequence of numbers, got a set"),
+    ([(1.0, 2.0), {5.0: "a", 7.0: "b"}],
+     "recourse.x.u[1]: point must be an ordered sequence of numbers, got a dict"),
+    ({(5.0, 7.0), (1.0, 2.0)},
+     "recourse.x.u: recourse set must be an ordered sequence of points, got a set"),
+], ids=["set-point", "dict-point", "set-of-points"])
+def test_constructors_refuse_unordered_containers_with_their_path(pts, message):
+    # a set or a dict would be stored in its iteration order, not the
+    # caller's: a set point could swap the objectives
+    for build in (lambda: Instance("a", 2, ("x",), ("u",), {("x", "u"): pts}),
+                  lambda: make_instance("a", 2, ["x"], ["u"], {"x": {"u": pts}})):
+        with pytest.raises(InstanceError) as err:
+            build()
+        assert str(err.value) == message
+
+
 def test_constructors_accept_fractions():
     pts = ((Fraction(1, 3), 2),)
     assert Instance("a", 2, ("x",), ("u",), {("x", "u"): pts}).points("x", "u") == pts

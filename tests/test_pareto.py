@@ -1,6 +1,7 @@
 """Nondominance filtering, inner fronts, and ideal points."""
 
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -20,7 +21,7 @@ from maro.pareto import _contributors
 from maro.relations import dot
 
 from conftest import instances, near_tie_instances, near_tie_sets, point_sets, weights
-from oracles import _tol_eq, brute_max_front, brute_min_front, tol_front
+from oracles import brute_max_front, brute_min_front, tol_contributors, tol_front
 
 INF = math.inf
 
@@ -260,27 +261,48 @@ def test_zero_length_points_keep_one_representative(tau):
         assert tol_front([(), ()], orientation.value, tau) == [()]
 
 
-def _ref_contributors(points_of, tau):
-    """The quadratic definition: the MIN front of every key's points pooled,
-    and the keys, in order, with a point tau-equal to a point of it."""
-    front = tol_front({p for pts in points_of.values() for p in pts}, "min", tau)
-    keys = tuple(k for k, pts in points_of.items()
-                 if any(all(_tol_eq(a, b, tau) for a, b in zip(p, q))
-                        for p in pts for q in front))
-    return keys, front
+def _kernel_shape(shape, tau):
+    """A seeded two-objective set of one of the shapes that drive the
+    two-objective kernel down its different paths."""
+    rng = random.Random(22)
+    if shape == "random":
+        # integer points on a quarter grid in a band along the antidiagonal,
+        # shifted by offsets at the slack boundary: many candidates, and
+        # differences of exactly tau
+        offsets = (0.0, 0.0, tau, -tau)
+        return [(g / 4 + rng.choice(offsets),
+                 (80 - g + rng.randint(0, 6)) / 4 + rng.choice(offsets))
+                for g in (rng.randint(0, 80) for _ in range(400))]
+    if shape == "antichain":  # every point a candidate and undominated
+        return rng.sample([(float(i), float(200 - i)) for i in range(200)], 200)
+    if shape == "tau-cluster":  # every point tau-equal to every other
+        return [(rng.uniform(0, tau), rng.uniform(0, tau)) for _ in range(200)]
+    # equal-x columns and equal-y rows
+    return ([(float(rng.randint(0, 3)), rng.randint(0, 200) / 4) for _ in range(200)]
+            + [(rng.randint(0, 200) / 4, float(rng.randint(0, 3))) for _ in range(200)])
+
+
+@pytest.mark.parametrize("tau", [1e-9, 0.5])
+@pytest.mark.parametrize("shape", ["random", "antichain", "tau-cluster", "columns-rows"])
+def test_two_objective_kernel_matches_the_oracle_on_large_sets(shape, tau):
+    S = _kernel_shape(shape, tau)
+    for orientation in Orientation:
+        got = nondominated(S, orientation, Tolerance(tau)).points
+        assert repr(list(got)) == repr(tol_front(S, orientation.value, tau)), orientation
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("tau", [0.0, 1e-9])
+@pytest.mark.parametrize("tau", [0.0, 1e-9, 0.5])
 @pytest.mark.parametrize("near_ties", [False, True], ids=["point-sets", "near-ties"])
 @given(data=st.data())
 def test_contributors_match_the_quadratic_definition(near_ties, tau, n, data):
     # one drawn set dealt out to up to four keys: near ties then often span
     # keys, and the front keeps one representative of several tau-equal
-    # points, which every key holding one of them contributes
+    # points, which every key holding one of them contributes; at tau = 0.5
+    # a point's first-coordinate window holds several front points
     pts = data.draw(near_tie_sets(n, tau, 12) if near_ties else point_sets(n, 12))
     points_of = {}
     for p in pts:
         points_of.setdefault(f"k{data.draw(st.integers(0, 3))}", []).append(p)
     keys, front = _contributors(points_of, Tolerance(tau))
-    assert (keys, list(front.points)) == _ref_contributors(points_of, tau)
+    assert (keys, list(front.points)) == tol_contributors(points_of, tau)

@@ -8,6 +8,7 @@ from maro import (
     GenBound,
     GenConfig,
     Kind,
+    Orientation,
     SetRelFamily,
     Strictness,
     Tolerance,
@@ -31,7 +32,7 @@ from maro import (
 from maro.verify import ALL_CHECKS
 
 from conftest import record_stores
-from oracles import _tol_leq, _tol_lt, _tol_set_leq, dot, tol_front
+from oracles import _tol_leq, _tol_lt, _tol_set_leq, dot, tol_contributors, tol_front
 
 HALF = Weight((0.5, 0.5))
 
@@ -536,6 +537,11 @@ def _ref_nondominated(points, orientation, tol):
     return FrontSet(tuple(tol_front(points, orientation.value, tol.tau)), orientation)
 
 
+def _ref_contributors(points_of, tol):
+    keys, front = tol_contributors(points_of, tol.tau)
+    return keys, FrontSet(tuple(front), Orientation.MIN)
+
+
 def _swap_in_references(monkeypatch):
     """Replace every fast kernel the battery reaches with its reference."""
     for module in ("pareto", "efficiency"):
@@ -546,6 +552,8 @@ def _swap_in_references(monkeypatch):
         _ref_nondominated(pts, orientation, Tolerance(tau)))
     for module in ("pareto", "efficiency", "scalarize"):
         monkeypatch.setattr(f"maro.{module}._scenario_table", _ref_table)
+    for module in ("efficiency", "verify"):
+        monkeypatch.setattr(f"maro.{module}._contributors", _ref_contributors)
     monkeypatch.setattr("maro.efficiency._set_leq", _ref_set_leq)
     monkeypatch.setattr("maro.scalarize._eps_minima", _ref_eps_minima)
 
